@@ -7,8 +7,8 @@ thread count never changes the output bytes.
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -36,7 +36,14 @@ def _load_function(func: str, l0: str) -> _est.FunctionLike:
         return _est.table_function(table)
     if func not in ("sigmoid", "threshold"):
         raise click.ClickException(f"unknown admissible function: {func}")
-    cutoff = None if l0 == "auto" else float(l0)
+    if l0 == "auto":
+        return _est.FunctionSpec(kind=func)
+    try:
+        cutoff = float(l0)
+    except ValueError:
+        cutoff = math.nan
+    if not 0 <= cutoff < math.inf:
+        raise click.ClickException(f"--l0 must be 'auto' or a finite number >= 0, not {l0!r}")
     return _est.FunctionSpec(kind=func, l0=cutoff)
 
 
@@ -62,19 +69,12 @@ def _read_corpus(files: tuple[str, ...]) -> tuple[list[str], list[bytes]]:
     return labels, data
 
 
-def _pair_map(fn, pairs, threads):
-    if threads == 1:
-        return [fn(p) for p in pairs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, pairs))
-
-
 func_option = click.option("--func", default="sigmoid", show_default=True,
                            help="Admissible function: sigmoid|threshold|table:<path>.")
 l0_option = click.option("--l0", default="auto", show_default=True,
                          help="Cutoff length, or 'auto' for the per-context meaningful length.")
-threads_option = click.option("--threads", type=int, default=None,
-                              help="Worker threads for pairwise cells (default: all cores).")
+threads_option = click.option("--threads", type=click.IntRange(min=1), default=None,
+                              help="Accepted for compatibility; cells are computed serially.")
 
 
 @click.group()
@@ -95,16 +95,10 @@ def nsd(files, func, l0, threads, out):
     fn = _load_function(func, l0)
     labels, data = _read_corpus(files)
     n = len(data)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def cell(ij):
-        i, j = ij
-        return _est.nsd(data[i], data[j], fn)
-
-    vals = _pair_map(cell, pairs, threads)
     d = np.zeros((n, n))
-    for (i, j), v in zip(pairs, vals):
-        d[i, j] = d[j, i] = v
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = _est.nsd(data[i], data[j], fn)
     _tsv.write_matrix(out, labels, d)
 
 
@@ -145,7 +139,7 @@ def causality(files, kind, func, l0, threshold, threads, out, matrix_out):
     labels, data = _read_corpus(files)
     X = _directed.StringSet(tuple(labels), tuple(data))
     try:
-        m = _directed.directed_info_matrix(X, kind=kind, f=fn, threshold=threshold, threads=threads)
+        m = _directed.directed_info_matrix(X, kind=kind, f=fn, threshold=threshold)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     if matrix_out:

@@ -43,6 +43,10 @@ class DistanceMatrix:
             raise ValueError("need at least two items")
         if d.shape != (n, n):
             raise ValueError("matrix shape does not match labels")
+        bad = np.argwhere(~np.isfinite(d))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"non-finite distance {d[i, j]} between {self.labels[i]!r} and {self.labels[j]!r}")
         if not np.allclose(d, d.T, atol=1e-12):
             raise ValueError("matrix must be symmetric")
         if np.any(np.diag(d) != 0):

@@ -10,13 +10,13 @@ own past plus every other string in the set, once without i and once with it.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .estimators import FunctionLike, conditional_complexity
+from .index import Index
 from .lz import Context, Mode
 
 DEFAULT_THRESHOLD = 5e-3
@@ -63,9 +63,10 @@ class DirectedInfoMatrix:
     threshold: float = DEFAULT_THRESHOLD
 
 
-def _term(X: StringSet, j: int, exclude: set[int], kind: str, f: FunctionLike) -> float:
+def _term(X: StringSet, j: int, exclude: set[int], kind: str, f: FunctionLike,
+          index: Index | None = None) -> float:
     sources = tuple(s for k, s in enumerate(X.strings) if k != j and k not in exclude)
-    ctx = Context(sources, _KIND_MODES[kind])
+    ctx = Context(sources, _KIND_MODES[kind], index)
     return conditional_complexity(X.strings[j], ctx, f).value
 
 
@@ -97,35 +98,23 @@ def directed_info_matrix(
 ) -> DirectedInfoMatrix:
     """All ordered-pair influence values.
 
-    Cells are independent and may be computed in parallel; results are merged
-    by index so the output does not depend on scheduling.  The subtrahend
-    term (j conditioned on everything but itself) is shared across a column
-    and computed once.
+    One index over the set serves every term: the match arrays of target
+    j are computed once and shared by the n terms of column j, including
+    the subtrahend (j conditioned on everything but itself).  `threads` is
+    accepted for compatibility; the columns are computed serially.
     """
     if kind not in _KIND_MODES:
         raise ValueError(f"unknown kind: {kind}")
     n = len(X)
     if n < 2:
         raise ValueError("need at least two strings")
+    index = Index(X.strings)
 
-    def base(j: int) -> float:
-        return _term(X, j, set(), kind, f)
+    def column(j: int) -> list[float]:
+        base = _term(X, j, set(), kind, f, index)
+        return [_term(X, j, {i}, kind, f, index) - base if i != j else 0.0 for i in range(n)]
 
-    def cell(ij: tuple[int, int]) -> float:
-        i, j = ij
-        return _term(X, j, {i}, kind, f)
-
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    if threads == 1:
-        bases = [base(j) for j in range(n)]
-        raw = [cell(ij) for ij in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            bases = list(pool.map(base, range(n)))
-            raw = list(pool.map(cell, pairs))
-    values = np.zeros((n, n))
-    for (i, j), v in zip(pairs, raw):
-        values[i, j] = v - bases[j]
+    values = np.array([column(j) for j in range(n)]).T.copy()
     return DirectedInfoMatrix(labels=X.labels, values=values, kind=kind, threshold=threshold)
 
 

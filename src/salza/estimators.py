@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+from .index import Index
 from .lz import MIN_MATCH, Context, Mode, factorize, reference_lengths
 
 
@@ -183,7 +184,8 @@ def nsd(x: bytes, y: bytes, f: FunctionLike = None) -> float:
     """Normalized semi-distance: max of the two cross-parsing estimates.
 
     Symmetric and nonnegative; zero exactly for equal inputs of length >= 3.
-    The triangle inequality does not hold in general.
+    The triangle inequality does not hold in general.  Both directions
+    share one index over the pair.
     """
     x, y = bytes(x), bytes(y)
     if min(len(x), len(y)) < MIN_MATCH:
@@ -192,6 +194,7 @@ def nsd(x: bytes, y: bytes, f: FunctionLike = None) -> float:
             "the distance is positive even for equal inputs",
             stacklevel=2,
         )
-    a = conditional_complexity(x, Context((y,), Mode.SOURCE_ALL), f)
-    b = conditional_complexity(y, Context((x,), Mode.SOURCE_ALL), f)
+    index = Index((x, y))
+    a = conditional_complexity(x, Context((y,), Mode.SOURCE_ALL, index), f)
+    b = conditional_complexity(y, Context((x,), Mode.SOURCE_ALL, index), f)
     return max(a.value, b.value)

@@ -4,12 +4,19 @@ A target string is scanned greedily left to right.  At each position the
 longest match (length >= 3) anywhere in the currently permitted reference
 regions is emitted as a reference symbol; otherwise a single literal is
 emitted.  Which regions are permitted depends on the conditioning mode.
+
+The match lengths at every position come from salza.index; the greedy
+parse is a walk over the best of them.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .index import Index, best_matches
 
 MIN_MATCH = 3
 
@@ -36,10 +43,16 @@ _WHOLE_SOURCE_MODES = (Mode.SOURCE_ALL, Mode.PAST_AND_SOURCES)
 
 @dataclass(frozen=True)
 class Context:
-    """Ordered reference sources plus the conditioning mode."""
+    """Ordered reference sources plus the conditioning mode.
+
+    `index` optionally names an Index that holds the target and every
+    source, so that several factorizations share its match arrays; it
+    changes no result and takes no part in equality.
+    """
 
     sources: tuple[bytes, ...]
     mode: Mode
+    index: Index | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(bytes(s) for s in self.sources))
@@ -97,56 +110,56 @@ class Symbol:
         return self.literal is not None
 
 
-@dataclass(frozen=True)
 class Factorization:
-    symbols: tuple[Symbol, ...]
-    target_length: int
-    mode: Mode
+    """The symbols of one parse, the target's length and the mode.
 
-
-def _extend(a: bytes, i: int, b: bytes, j: int, known: int, limit: int) -> int:
-    """Longest L <= limit with a[i:i+L] == b[j:j+L], given the first `known` bytes match.
-
-    Galloping then binary search, so long matches cost O(L log L) slice
-    compares at C speed instead of a Python byte loop.
+    factorize fills in the symbol lengths and makes the symbols themselves,
+    with their offsets, on first access: the estimators read only the
+    lengths.
     """
-    cur = known
-    step = 1
-    while cur + step <= limit and a[i : i + cur + step] == b[j : j + cur + step]:
-        cur += step
-        step *= 2
-    lo, hi = cur, min(limit, cur + step - 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[i : i + mid] == b[j : j + mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+
+    __slots__ = ("target_length", "mode", "_symbols", "_lengths", "_make")
+
+    def __init__(self, symbols: tuple[Symbol, ...], target_length: int, mode: Mode):
+        self._symbols = tuple(symbols)
+        self._lengths = None
+        self._make = None
+        self.target_length = target_length
+        self.mode = mode
+
+    @classmethod
+    def _deferred(cls, lengths: list[int], make, target_length: int, mode: Mode) -> Factorization:
+        f = cls((), target_length, mode)
+        f._symbols, f._lengths, f._make = None, lengths, make
+        return f
+
+    @property
+    def symbols(self) -> tuple[Symbol, ...]:
+        if self._symbols is None:
+            self._symbols = self._make()
+        return self._symbols
+
+    @property
+    def lengths(self) -> list[int]:
+        if self._lengths is None:
+            return [sym.length for sym in self.symbols]
+        return self._lengths
+
+    def __eq__(self, other):
+        if not isinstance(other, Factorization):
+            return NotImplemented
+        return (self.symbols, self.target_length, self.mode) == (
+            other.symbols, other.target_length, other.mode)
+
+    def __hash__(self):
+        return hash((self.symbols, self.target_length, self.mode))
+
+    def __repr__(self):
+        return (f"Factorization(symbols={self.symbols!r}, target_length={self.target_length!r}, "
+                f"mode={self.mode!r})")
 
 
-def _best_match(target: bytes, t: int, s: bytes, pmax: int, limit: int, need: int):
-    """Longest match of target[t:] starting at a position <= pmax in s.
-
-    Returns (length, position) with length >= need, or (0, -1).  A match may
-    run past pmax (self-overlap / causally revealed bytes); only its start is
-    constrained.  Equal-length candidates resolve to the smallest position:
-    each find() call returns the leftmost occurrence of a needle one byte
-    longer than the best so far, so the final position is the leftmost among
-    the maximal matches.
-    """
-    best = need - 1
-    pos = -1
-    while best < limit:
-        needle = target[t : t + best + 1]
-        p = s.find(needle, 0, pmax + best + 1)
-        if p < 0:
-            break
-        best = _extend(target, t, s, p, best + 1, min(limit, len(s) - p))
-        pos = p
-    if pos < 0:
-        return 0, -1
-    return best, pos
+_LITERALS = tuple(Symbol(length=1, literal=b) for b in range(256))
 
 
 def factorize(target: bytes, context: Context) -> Factorization:
@@ -160,63 +173,48 @@ def factorize(target: bytes, context: Context) -> Factorization:
     n = len(target)
     if n == 0:
         raise ValueError("empty input")
-    sources = context.sources
-    own_past = context.uses_own_past
-    whole = context.uses_whole_sources
+    own = context.uses_own_past
+    regions = [target] * own + list(context.sources)
+    whole = [False] * own + [context.uses_whole_sources] * len(context.sources)
+    best, which = best_matches(target, regions, whole, context.index)
+    # next position at or after each one where a reference can start
+    nxt = np.arange(n, dtype=np.int32)
+    nxt[best < MIN_MATCH] = n
+    np.minimum.accumulate(nxt[::-1], out=nxt[::-1])
+    best_v, which_v, nxt_v = memoryview(best), memoryview(which), memoryview(nxt)
 
-    # Trigram prefilters: skip the find() machinery when no length-3 match
-    # can exist in a region.  Whole-source filters are built up front; past
-    # regions grow with t and are filled in incrementally.
-    if whole:
-        src_tris = [{s[i : i + 3] for i in range(len(s) - 2)} for s in sources]
-        src_ptr = [len(s) for s in sources]
-    else:
-        src_tris = [set() for _ in sources]
-        src_ptr = [0] * len(sources)
-    own_tris: set[bytes] = set()
-    own_ptr = 0
-
-    symbols: list[Symbol] = []
+    # a literal is its cached Symbol; a reference is (position, length, region)
+    plan: list = []
+    lengths: list[int] = []
     t = 0
     while t < n:
-        best_len = 0
-        best_src = None
-        best_off = None
-        limit = n - t
-        if limit >= MIN_MATCH:
-            tri = target[t : t + 3]
-            if own_past and t > 0:
-                while own_ptr < t:
-                    if own_ptr + 3 <= n:
-                        own_tris.add(target[own_ptr : own_ptr + 3])
-                    own_ptr += 1
-                if tri in own_tris:
-                    length, p = _best_match(target, t, target, t - 1, limit, MIN_MATCH)
-                    if length >= MIN_MATCH:
-                        best_len, best_src, best_off = length, SELF, p
-            for k, s in enumerate(sources):
-                if whole:
-                    avail = len(s)
-                else:
-                    avail = min(t, len(s))
-                    while src_ptr[k] < avail:
-                        p0 = src_ptr[k]
-                        if p0 + 3 <= len(s):
-                            src_tris[k].add(s[p0 : p0 + 3])
-                        src_ptr[k] += 1
-                if avail == 0 or tri not in src_tris[k]:
-                    continue
-                need = best_len + 1 if best_len else MIN_MATCH
-                length, p = _best_match(target, t, s, avail - 1, limit, need)
-                if length >= need:
-                    best_len, best_src, best_off = length, k, p
-        if best_len >= MIN_MATCH:
-            symbols.append(Symbol(length=best_len, source=best_src, offset=best_off))
-            t += best_len
-        else:
-            symbols.append(Symbol(length=1, literal=target[t]))
-            t += 1
-    return Factorization(symbols=tuple(symbols), target_length=n, mode=context.mode)
+        u = nxt_v[t]
+        if u > t:
+            plan.extend(map(_LITERALS.__getitem__, target[t:u]))
+            lengths.extend([1] * (u - t))
+            t = u
+            if t == n:
+                break
+        length = best_v[t]
+        plan.append((t, length, which_v[t]))
+        lengths.append(length)
+        t += length
+
+    def make() -> tuple[Symbol, ...]:
+        out = []
+        for item in plan:
+            if type(item) is Symbol:
+                out.append(item)
+                continue
+            t, length, k = item
+            s = regions[k]
+            avail = len(s) if whole[k] else min(t, len(s))
+            # the leftmost start of a longest match: no earlier start matches this far
+            p = s.find(target[t : t + length], 0, avail - 1 + length)
+            out.append(Symbol(length=length, source=k - own if k >= own else SELF, offset=p))
+        return tuple(out)
+
+    return Factorization._deferred(lengths, make, n, context.mode)
 
 
 def decode(f: Factorization, context: Context) -> bytes:
@@ -248,4 +246,4 @@ def decode(f: Factorization, context: Context) -> bytes:
 
 def reference_lengths(f: Factorization) -> list[int]:
     """Multiset of all symbol lengths; literals contribute 1."""
-    return [sym.length for sym in f.symbols]
+    return list(f.lengths)

@@ -6,6 +6,7 @@ significant digits.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -48,6 +49,8 @@ def read_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
                 values[r - 1, c] = float(cell)
             except ValueError as exc:
                 raise ValueError(f"{path}: row {r + 1}, column {c + 2}: bad number {cell!r}") from exc
+            if not math.isfinite(values[r - 1, c]):
+                raise ValueError(f"{path}: row {r + 1}, column {c + 2}: non-finite number {cell!r}")
     return labels, values
 
 

@@ -78,6 +78,17 @@ class TestNsd:
         assert res.exit_code != 0
         assert "void" in res.output
 
+    @pytest.mark.parametrize("option, value", [
+        ("--threads", "0"), ("--threads", "-2"), ("--l0", "-1"), ("--l0", "foo"),
+    ])
+    def test_bad_numeric_option_is_one_line_error(self, runner, tmp_path, option, value):
+        files = write_corpus(tmp_path, SAMPLE)
+        res = runner.invoke(main, ["nsd", *files, option, value, "--out", str(tmp_path / "d.tsv")])
+        assert res.exit_code != 0
+        assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+        last = res.output.strip().splitlines()[-1]
+        assert last.startswith("Error:") and option in last
+
     def test_duplicate_basenames_get_suffix(self, runner, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
         d1.mkdir(), d2.mkdir()
@@ -128,6 +139,17 @@ class TestCluster:
         res = runner.invoke(main, ["cluster", str(p), "--out", str(tmp_path / "t.nwk")])
         assert res.exit_code != 0
         assert "symmetric" in res.output
+
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_cell_named(self, runner, tmp_path, cell):
+        p = tmp_path / "bad.tsv"
+        p.write_text(f"\ta\tb\tc\na\t0\t2\t{cell}\nb\t2\t0\t4\nc\t{cell}\t4\t0\n")
+        out = tmp_path / "t.nwk"
+        res = runner.invoke(main, ["cluster", str(p), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "row 2, column 4: non-finite number" in res.output
+        assert not out.exists()
 
 
 class TestCausality:

@@ -32,6 +32,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             dm(["a", "b"], [[0, -1], [-1, 0]])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_rejected_with_its_cell(self, bad):
+        with pytest.raises(ValueError, match="non-finite distance .* between 'a' and 'c'"):
+            dm(["a", "b", "c"], [[0, 1, bad], [1, 0, 1], [bad, 1, 0]])
+
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValueError, match="diagonal"):
             dm(["a", "b"], [[1, 2], [2, 0]])

@@ -14,7 +14,6 @@ from .directed import (
 from .estimators import (
     AdmissibleFunction,
     Estimate,
-    FunctionSpec,
     conditional_complexity,
     joint_complexity,
     meaningful_cutoff,
@@ -42,7 +41,6 @@ __all__ = [
     "DistanceMatrix",
     "Estimate",
     "Factorization",
-    "FunctionSpec",
     "LengthProfileSpec",
     "MarkovSpec",
     "Mode",

@@ -7,7 +7,7 @@ thread count never changes the output bytes.
 
 from __future__ import annotations
 
-import math
+import contextlib
 import os
 from pathlib import Path
 
@@ -24,37 +24,42 @@ from .lz import Context, Mode, factorize
 _MODES = {m.value: m for m in Mode}
 
 
-def _load_function(func: str, l0: str) -> _est.FunctionLike:
+def _load_function(func: str, l0: str) -> _est.AdmissibleFunction:
     if func.startswith("table:"):
+        path = func[6:]
         table = {}
-        for raw in Path(func[6:]).read_text().splitlines():
+        for i, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            length, value = line.split()
-            table[int(length)] = float(value)
+            try:
+                length, value = line.split()
+                table[int(length)] = float(value)
+            except ValueError:
+                raise ValueError(f"{path}: line {i}: expected '<length> <value>', not {raw!r}") from None
         return _est.table_function(table)
     if func not in ("sigmoid", "threshold"):
-        raise click.ClickException(f"unknown admissible function: {func}")
-    if l0 == "auto":
-        return _est.FunctionSpec(kind=func)
+        raise ValueError(f"unknown admissible function: {func}")
     try:
-        cutoff = float(l0)
+        return _est.AdmissibleFunction(func, None if l0 == "auto" else float(l0))
     except ValueError:
-        cutoff = math.nan
-    if not 0 <= cutoff < math.inf:
-        raise click.ClickException(f"--l0 must be 'auto' or a finite number >= 0, not {l0!r}")
-    return _est.FunctionSpec(kind=func, l0=cutoff)
+        raise ValueError(f"--l0 must be 'auto' or a finite number >= 0, not {l0!r}") from None
+
+
+@contextlib.contextmanager
+def _spec_errors(kind: str):
+    """A missing key or a bad value in a spec file names the spec kind."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"bad {kind} spec: {exc}") from exc
 
 
 def _read_corpus(files: tuple[str, ...]) -> tuple[list[str], list[bytes]]:
     labels: list[str] = []
     data: list[bytes] = []
     for path in files:
-        try:
-            blob = Path(path).read_bytes()
-        except OSError as exc:
-            raise click.ClickException(f"cannot read {path}: {exc.strerror}")
+        blob = Path(path).read_bytes()
         if not blob:
             raise click.ClickException(f"empty file: {path}")
         label = os.path.basename(path)
@@ -77,7 +82,21 @@ threads_option = click.option("--threads", type=click.IntRange(min=1), default=N
                               help="Accepted for compatibility; cells are computed serially.")
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a ValueError or OSError from any command (bad user input: a bad
+    value, a missing or unwritable file) as a one-line `Error:`, status 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # a closed stdout: click exits quietly
+        except (OSError, ValueError) as exc:
+            name = getattr(exc, "filename", None)
+            raise click.ClickException(f"{name}: {exc.strerror}" if name else str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Lempel-Ziv complexity estimates, clustering, and causality inference."""
 
@@ -109,12 +128,9 @@ def nsd(files, func, l0, threads, out):
 @click.option("--ascii", "show_ascii", is_flag=True, help="Also print an ASCII rendering.")
 def cluster(matrix, method, out, show_ascii):
     """Build a tree from a TSV distance matrix."""
-    try:
-        labels, values = _tsv.read_matrix(matrix)
-        dm = _cluster.DistanceMatrix(tuple(labels), values)
-        tree = _cluster.neighbor_joining(dm) if method == "nj" else _cluster.upgma(dm)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    labels, values = _tsv.read_matrix(matrix)
+    dm = _cluster.DistanceMatrix(tuple(labels), values)
+    tree = _cluster.neighbor_joining(dm) if method == "nj" else _cluster.upgma(dm)
     Path(out).write_text(_cluster.to_newick(tree) + "\n")
     if show_ascii:
         click.echo(_cluster.render_ascii(tree), nl=False)
@@ -138,10 +154,7 @@ def causality(files, kind, func, l0, threshold, threads, out, matrix_out):
     fn = _load_function(func, l0)
     labels, data = _read_corpus(files)
     X = _directed.StringSet(tuple(labels), tuple(data))
-    try:
-        m = _directed.directed_info_matrix(X, kind=kind, f=fn, threshold=threshold)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    m = _directed.directed_info_matrix(X, kind=kind, f=fn, threshold=threshold)
     if matrix_out:
         _tsv.write_matrix(matrix_out, labels, m.values)
     Path(out).write_text(_directed.to_dot(m))
@@ -161,8 +174,8 @@ def markov(specfile, out_dir):
     Keys: alphabet, length, seed, realizations (default 1), id (label tag),
     then a `transition` matrix block.
     """
-    cfg = _synth.parse_spec_file(specfile)
-    try:
+    with _spec_errors("markov"):
+        cfg = _synth.parse_spec_file(specfile)
         count = int(cfg.get("realizations", 1))
         base_seed = int(cfg.get("seed", 0))
         tag = cfg.get("id", 0)
@@ -178,8 +191,6 @@ def markov(specfile, out_dir):
             label = f"alpha{spec.alphabet_size}_m{tag}_c{c}"
             (outdir / label).write_bytes(_synth.generate_markov(spec))
             click.echo(str(outdir / label))
-    except (KeyError, ValueError) as exc:
-        raise click.ClickException(f"bad markov spec: {exc}")
 
 
 @gen.command()
@@ -193,8 +204,8 @@ def dag(specfile, out_dir):
     matrix block of shape N x (N+1) whose last column is the innovation
     probability.
     """
-    cfg = _synth.parse_spec_file(specfile)
-    try:
+    with _spec_errors("dag"):
+        cfg = _synth.parse_spec_file(specfile)
         spec = _synth.DagSpec(
             connectivity=cfg["connectivity"],
             length=int(cfg["length"]),
@@ -203,9 +214,7 @@ def dag(specfile, out_dir):
             copy_scale=float(cfg.get("scale", 20.0)),
             alphabet_size=int(cfg.get("alphabet", 256)),
         )
-        strings = _synth.generate_dag_processes(spec)
-    except (KeyError, ValueError) as exc:
-        raise click.ClickException(f"bad dag spec: {exc}")
+    strings = _synth.generate_dag_processes(spec)
     outdir = Path(out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for label, blob in zip(strings.labels, strings.strings):
@@ -222,11 +231,7 @@ def dag(specfile, out_dir):
 def factorize_cmd(target, sources, mode_name, out):
     """Dump the symbol stream of TARGET factorized against SOURCES."""
     labels, data = _read_corpus((target,) + sources)
-    try:
-        ctx = Context(tuple(data[1:]), _MODES[mode_name])
-        fact = factorize(data[0], ctx)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    fact = factorize(data[0], Context(tuple(data[1:]), _MODES[mode_name]))
     text = _tsv.symbols_tsv(fact, labels[1:])
     if out:
         Path(out).write_text(text)
@@ -243,31 +248,26 @@ def simulate(specfile, out):
     Keys: mu, l0, length, trials (default 200), seed.  mu and length accept
     comma-separated sweeps.
     """
-    cfg = _synth.parse_spec_file(specfile)
+    with _spec_errors("simulate"):
+        cfg = _synth.parse_spec_file(specfile)
 
-    def sweep(key):
-        v = cfg[key]
-        return [float(s) for s in str(v).split(",")]
+        def sweep(key):
+            return [float(v) for v in str(cfg[key]).split(",")]
 
-    try:
-        mus = sweep("mu")
-        lengths = [int(v) for v in sweep("length")]
         l0 = float(cfg["l0"])
         trials = int(cfg.get("trials", 200))
         seed = int(cfg.get("seed", 0))
-    except (KeyError, ValueError) as exc:
-        raise click.ClickException(f"bad simulate spec: {exc}")
+        specs = [_synth.LengthProfileSpec(mu=mu, l0=l0, target_length=int(n), trials=trials, seed=seed)
+                 for mu in sweep("mu") for n in sweep("length")]
     lines = ["mu\tlength\tl0\tthreshold_S\tthreshold_value\tsigmoid_S\tsigmoid_value\tZ"]
-    for mu in mus:
-        for n in lengths:
-            prof = _synth.length_profile(
-                _synth.LengthProfileSpec(mu=mu, l0=l0, target_length=n, trials=trials, seed=seed))
-            lines.append("\t".join([
-                _tsv.fmt(mu), str(n), _tsv.fmt(l0),
-                _tsv.fmt(prof.threshold.spread), _tsv.fmt(prof.threshold.value),
-                _tsv.fmt(prof.sigmoid.spread), _tsv.fmt(prof.sigmoid.value),
-                _tsv.fmt(prof.threshold.size),
-            ]))
+    for spec in specs:
+        prof = _synth.length_profile(spec)
+        lines.append("\t".join([
+            _tsv.fmt(spec.mu), str(spec.target_length), _tsv.fmt(spec.l0),
+            _tsv.fmt(prof.threshold.spread), _tsv.fmt(prof.threshold.value),
+            _tsv.fmt(prof.sigmoid.spread), _tsv.fmt(prof.sigmoid.value),
+            _tsv.fmt(prof.threshold.size),
+        ]))
     text = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(text)

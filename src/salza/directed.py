@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .estimators import FunctionLike, conditional_complexity
+from .estimators import AdmissibleFunction, conditional_complexity
 from .index import Index
 from .lz import Context, Mode
 
@@ -63,14 +63,14 @@ class DirectedInfoMatrix:
     threshold: float = DEFAULT_THRESHOLD
 
 
-def _term(X: StringSet, j: int, exclude: set[int], kind: str, f: FunctionLike,
+def _term(X: StringSet, j: int, exclude: set[int], kind: str, f: AdmissibleFunction | None,
           index: Index | None = None) -> float:
     sources = tuple(s for k, s in enumerate(X.strings) if k != j and k not in exclude)
     ctx = Context(sources, _KIND_MODES[kind], index)
     return conditional_complexity(X.strings[j], ctx, f).value
 
 
-def _directed_info(X: StringSet, i: int, j: int, kind: str, f: FunctionLike) -> float:
+def _directed_info(X: StringSet, i: int, j: int, kind: str, f: AdmissibleFunction | None) -> float:
     if i == j:
         raise ValueError("directed information is undefined for i == j")
     if len(X) < 2:
@@ -78,12 +78,12 @@ def _directed_info(X: StringSet, i: int, j: int, kind: str, f: FunctionLike) -> 
     return _term(X, j, {i}, kind, f) - _term(X, j, set(), kind, f)
 
 
-def causal_directed_info(X: StringSet, i: int, j: int, f: FunctionLike = None) -> float:
+def causal_directed_info(X: StringSet, i: int, j: int, f: AdmissibleFunction | None = None) -> float:
     """Influence of string i on string j using aligned pasts (online data)."""
     return _directed_info(X, i, j, "causal", f)
 
 
-def full_directed_info(X: StringSet, i: int, j: int, f: FunctionLike = None) -> float:
+def full_directed_info(X: StringSet, i: int, j: int, f: AdmissibleFunction | None = None) -> float:
     """Influence of string i on string j with full access to the conditioning
     strings (offline data)."""
     return _directed_info(X, i, j, "full", f)
@@ -92,7 +92,7 @@ def full_directed_info(X: StringSet, i: int, j: int, f: FunctionLike = None) -> 
 def directed_info_matrix(
     X: StringSet,
     kind: str = "causal",
-    f: FunctionLike = None,
+    f: AdmissibleFunction | None = None,
     threshold: float = DEFAULT_THRESHOLD,
     threads: int | None = None,
 ) -> DirectedInfoMatrix:

@@ -9,106 +9,94 @@ the multiset of factorization symbol lengths:
 
 where n is the target length and f is an admissible function.  Both factors
 lie in [0, 1] and the product lies in [0, 1).
+
+An admissible function is one value, `AdmissibleFunction(kind, l0, table)`:
+a sigmoid, a threshold or a step table.  A sigmoid or threshold with
+`l0=None` takes the meaningful cutoff of whichever context it is used in;
+every estimator defaults to that sigmoid.  The function weighs a whole
+length array in one call, and the sums run over it in order.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .index import Index
-from .lz import MIN_MATCH, Context, Mode, factorize, reference_lengths
-
-
-class AdmissibleFunction:
-    """Monotonically increasing map from symbol lengths to [0, 1]."""
-
-    def __init__(self, fn: Callable[[float], float], name: str):
-        self._fn = fn
-        self.name = name
-
-    def __call__(self, length: float) -> float:
-        return self._fn(length)
-
-    def __repr__(self):
-        return f"AdmissibleFunction({self.name})"
-
-
-def threshold_function(l0: float) -> AdmissibleFunction:
-    """f(l) = 1 if l > l0, else 0 (strict inequality)."""
-    if l0 < 0:
-        raise ValueError("cutoff must be nonnegative")
-    return AdmissibleFunction(lambda l: 1.0 if l > l0 else 0.0, f"threshold(l0={l0:g})")
-
-
-def sigmoid_function(l0: float) -> AdmissibleFunction:
-    """f(l) = 1 / (1 + exp(-l + l0)), centered at the cutoff l0."""
-    if l0 < 0:
-        raise ValueError("cutoff must be nonnegative")
-
-    def f(l: float) -> float:
-        z = l0 - l
-        if z > 700.0:  # exp overflow guard for degenerate cutoffs
-            return 0.0
-        return 1.0 / (1.0 + math.exp(z))
-
-    return AdmissibleFunction(f, f"sigmoid(l0={l0:g})")
-
-
-def table_function(table: Mapping[int, float]) -> AdmissibleFunction:
-    """Step function from an explicit length -> [0, 1] table.
-
-    f(l) is the value at the largest tabulated length <= l; below the
-    smallest tabulated length the first value applies.  The table must be
-    monotone with values in [0, 1].
-    """
-    if not table:
-        raise ValueError("empty table")
-    keys = sorted(table)
-    vals = [table[k] for k in keys]
-    for v in vals:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError("table values must lie in [0, 1]")
-    for a, b in zip(vals, vals[1:]):
-        if b < a:
-            raise ValueError("table must be monotonically increasing")
-
-    def f(l: float) -> float:
-        i = bisect.bisect_right(keys, l) - 1
-        return vals[max(i, 0)]
-
-    return AdmissibleFunction(f, f"table({len(keys)} entries)")
+from .lz import MIN_MATCH, Context, Mode, factorize
 
 
 @dataclass(frozen=True)
-class FunctionSpec:
-    """Deferred admissible-function choice: the cutoff defaults to the
-    meaningful-reference length of whichever context is in use."""
+class AdmissibleFunction:
+    """Monotonically increasing map from symbol lengths to [0, 1].
 
-    kind: str = "sigmoid"  # "sigmoid" or "threshold"
-    l0: float | None = None  # None -> meaningful_cutoff(target, context)
+    `kind` is "sigmoid", 1 / (1 + exp(l0 - l)); "threshold", 1 if l > l0
+    else 0; or "table", a step function over `table`, sorted (length, value)
+    pairs: f(l) is the value at the largest tabulated length <= l, and the
+    first value below the smallest.  `l0=None` stands for the meaningful
+    cutoff of whichever context the function is used in.
+    """
 
-    def resolve(self, target: bytes, context: Context) -> AdmissibleFunction:
-        l0 = self.l0 if self.l0 is not None else meaningful_cutoff(target, context)
-        if self.kind == "sigmoid":
-            return sigmoid_function(l0)
+    kind: str = "sigmoid"
+    l0: float | None = None
+    table: tuple[tuple[int, float], ...] = ()
+
+    def __post_init__(self):
+        if self.kind not in ("sigmoid", "threshold", "table"):
+            raise ValueError(f"unknown admissible function kind: {self.kind}")
+        if self.l0 is not None and not 0.0 <= self.l0 < math.inf:
+            raise ValueError(f"cutoff l0 must be a finite number >= 0, not {self.l0!r}")
+        if self.kind == "table" and not self.table:
+            raise ValueError("empty table")
+        keys, vals = zip(*self.table) if self.table else ((), ())
+        if not all(0.0 <= v <= 1.0 for v in vals):
+            raise ValueError("table values must lie in [0, 1]")
+        if any(b <= a for a, b in zip(keys, keys[1:])):
+            raise ValueError("table lengths must be sorted and distinct")
+        if any(b < a for a, b in zip(vals, vals[1:])):
+            raise ValueError("table must be monotonically increasing")
+
+    def weights(self, lengths) -> np.ndarray:
+        """f(l) for every length l of an array of non-negative integers, as float64."""
+        lengths = np.asarray(lengths)
+        if self.kind == "table":
+            keys, vals = np.array(self.table, dtype=float).T
+            return vals[np.maximum(np.searchsorted(keys, lengths, side="right") - 1, 0)]
+        if self.l0 is None:
+            raise ValueError("l0=None is resolved per context by conditional_complexity")
         if self.kind == "threshold":
-            return threshold_function(l0)
-        raise ValueError(f"unknown admissible function kind: {self.kind}")
+            return (lengths > self.l0).astype(float)
+        # the scalar formula once per distinct length (np.exp differs from
+        # math.exp in the last ulp for some arguments), looked up in a table
+        # as long as the longest symbol
+        distinct = np.bincount(lengths).nonzero()[0]
+        z = [self.l0 - l for l in distinct.tolist()]
+        lut = np.zeros(distinct[-1] + 1)
+        # exp overflow guard for degenerate cutoffs
+        lut[distinct] = [0.0 if v > 700.0 else 1.0 / (1.0 + math.exp(v)) for v in z]
+        return lut[lengths]
+
+    def __call__(self, length: int) -> float:
+        return float(self.weights([length])[0])
 
 
-FunctionLike = AdmissibleFunction | FunctionSpec | None
+def threshold_function(l0: float | None = None) -> AdmissibleFunction:
+    """f(l) = 1 if l > l0, else 0 (strict inequality)."""
+    return AdmissibleFunction("threshold", l0)
 
 
-def _resolve(f: FunctionLike, target: bytes, context: Context) -> AdmissibleFunction:
-    if f is None:
-        f = FunctionSpec()
-    if isinstance(f, FunctionSpec):
-        return f.resolve(target, context)
-    return f
+def sigmoid_function(l0: float | None = None) -> AdmissibleFunction:
+    """f(l) = 1 / (1 + exp(-l + l0)), centered at the cutoff l0."""
+    return AdmissibleFunction("sigmoid", l0)
+
+
+def table_function(table: Mapping[int, float]) -> AdmissibleFunction:
+    """Step function from an explicit, monotone length -> [0, 1] table."""
+    return AdmissibleFunction("table", table=tuple(sorted(table.items())))
 
 
 def meaningful_cutoff(target: bytes, context: Context) -> float:
@@ -137,34 +125,42 @@ class Estimate:
     size: float
 
 
-def estimate_from_lengths(lengths: Iterable[int], n: int, f: AdmissibleFunction) -> Estimate:
-    """Evaluate the two-factor estimate on a symbol-length multiset."""
-    count = 0
-    fsum = 0.0
-    wsum = 0.0
-    for l in lengths:
-        fl = f(l)
-        count += 1
-        fsum += fl
-        wsum += l * fl
-    spread = 1.0 - (wsum - (fsum - 1.0)) / n
-    size = (count - 1) / n
+def estimate_from_lengths(lengths: Sequence[int], n: int, f: AdmissibleFunction) -> Estimate:
+    """Evaluate the two-factor estimate on a symbol-length multiset.
+
+    The sums run in order (cumsum, not numpy's pairwise sum), so they equal
+    a left-to-right loop bit for bit.
+    """
+    lengths = np.asarray(lengths)
+    if lengths.size == 0:
+        raise ValueError("no symbol lengths")
+    w = f.weights(lengths)
+    fsum = w.cumsum()[-1]
+    wsum = (lengths * w).cumsum()[-1]
+    spread = float(1.0 - (wsum - (fsum - 1.0)) / n)
+    size = (lengths.size - 1) / n
     return Estimate(value=spread * size, spread=spread, size=size)
 
 
-def conditional_complexity(x: bytes, context: Context, f: FunctionLike = None) -> Estimate:
-    """Complexity estimate of x given the conditioning context."""
-    fn = _resolve(f, x, context)
+def conditional_complexity(x: bytes, context: Context, f: AdmissibleFunction | None = None) -> Estimate:
+    """Complexity estimate of x given the conditioning context.
+
+    f defaults to the sigmoid; a cutoff of None becomes the context's
+    meaningful cutoff.
+    """
+    f = AdmissibleFunction() if f is None else f
+    if f.kind != "table" and f.l0 is None:
+        f = AdmissibleFunction(f.kind, meaningful_cutoff(x, context))
     fact = factorize(x, context)
-    return estimate_from_lengths(reference_lengths(fact), len(x), fn)
+    return estimate_from_lengths(fact.lengths, len(x), f)
 
 
-def simple_complexity(x: bytes, f: FunctionLike = None) -> Estimate:
+def simple_complexity(x: bytes, f: AdmissibleFunction | None = None) -> Estimate:
     """Complexity of x alone: factorization against its own past."""
     return conditional_complexity(x, Context((bytes(x),), Mode.SOURCE_PAST), f)
 
 
-def joint_complexity(x: bytes, y: bytes, f: FunctionLike = None) -> float:
+def joint_complexity(x: bytes, y: bytes, f: AdmissibleFunction | None = None) -> float:
     """Joint complexity of x and y.
 
     Factorizes y against its own past plus all of x, adds the complexity of
@@ -180,7 +176,7 @@ def joint_complexity(x: bytes, y: bytes, f: FunctionLike = None) -> float:
     return cond.value + simple_complexity(x, f).value + math.log(len(x) / len(y), ax)
 
 
-def nsd(x: bytes, y: bytes, f: FunctionLike = None) -> float:
+def nsd(x: bytes, y: bytes, f: AdmissibleFunction | None = None) -> float:
     """Normalized semi-distance: max of the two cross-parsing estimates.
 
     Symmetric and nonnegative; zero exactly for equal inputs of length >= 3.

@@ -14,7 +14,6 @@ from salza import (
     Context,
     DagSpec,
     DistanceMatrix,
-    FunctionSpec,
     LengthProfileSpec,
     MarkovSpec,
     Mode,
@@ -125,7 +124,7 @@ def test_criterion_2_semi_distance_axioms():
     x = A * n + B + bytes(reversed(C))
     y = B + C * n + bytes(reversed(A))
     z = A + C + B * n
-    f = FunctionSpec(kind="threshold")
+    f = threshold_function()
     d_xy, d_xz, d_zy = nsd(x, y, f), nsd(x, z, f), nsd(z, y, f)
     assert d_xy == pytest.approx((n + 1) ** 2 / (n + 2) ** 2, abs=1e-9)
     assert d_xz == pytest.approx((n + M) ** 2 / ((n + 2) ** 2 * M**2), abs=1e-9)

@@ -273,3 +273,29 @@ class TestSimulate:
         res = runner.invoke(main, ["simulate", str(spec)])
         assert res.exit_code != 0
         assert "bad simulate spec" in res.output
+
+
+def _bad_table(tmp_path):
+    table = tmp_path / "steps.txt"
+    table.write_text("3 0.2 9\n")
+    return f"table:{table}"
+
+
+@pytest.mark.parametrize("make_args", [
+    lambda f, d: ["nsd", *f, "--func", f"table:{d}/missing", "--out", f"{d}/d.tsv"],
+    lambda f, d: ["nsd", *f, "--func", _bad_table(d), "--out", f"{d}/d.tsv"],
+    lambda f, d: ["nsd", *f, "--out", f"{d}/missing/d.tsv"],
+    lambda f, d: ["causality", *f, "--out", f"{d}/missing/g.dot"],
+    lambda f, d: ["factorize", *f, "--out", f"{d}/missing/f.tsv"],
+    lambda f, d: ["gen", "markov", f"{d}/missing.spec", "--out-dir", str(d)],
+    lambda f, d: ["gen", "dag", f"{d}/missing.spec", "--out-dir", str(d)],
+    lambda f, d: ["simulate", f"{d}/missing.spec"],
+    lambda f, d: ["cluster", f"{d}/missing.tsv", "--out", f"{d}/t.nwk"],
+], ids=["missing-table", "bad-table-line", "nsd-out", "causality-out", "factorize-out",
+        "markov-spec", "dag-spec", "simulate-spec", "cluster-matrix"])
+def test_bad_file_is_one_line_error(runner, tmp_path, make_args):
+    files = write_corpus(tmp_path, {"x": SAMPLE["alpha"], "y": SAMPLE["beta"]})
+    res = runner.invoke(main, make_args(files, tmp_path))
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert res.output.strip().splitlines()[-1].startswith("Error:")
+    assert res.exit_code == 1

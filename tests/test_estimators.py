@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salza.estimators import (
-    FunctionSpec,
+    AdmissibleFunction,
     conditional_complexity,
     joint_complexity,
     meaningful_cutoff,
@@ -91,6 +92,12 @@ class TestAdmissibleFunctions:
             assert v >= prev
             prev = v
 
+    @pytest.mark.parametrize("make", [threshold_function, sigmoid_function])
+    @pytest.mark.parametrize("l0", [math.nan, math.inf, -1.0])
+    def test_bad_cutoff_rejected(self, make, l0):
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            make(l0)
+
     def test_table_validation(self):
         with pytest.raises(ValueError):
             table_function({1: 0.5, 2: 0.4})
@@ -141,7 +148,7 @@ class TestConditionalComplexity:
         c = Context((y,), Mode.SOURCE_ALL)
         explicit = sigmoid_function(meaningful_cutoff(x, c))
         assert conditional_complexity(x, c).value == conditional_complexity(x, c, explicit).value
-        thr = conditional_complexity(x, c, FunctionSpec(kind="threshold"))
+        thr = conditional_complexity(x, c, threshold_function())
         expl_thr = threshold_function(meaningful_cutoff(x, c))
         assert thr.value == conditional_complexity(x, c, expl_thr).value
 
@@ -227,7 +234,7 @@ class TestNsd:
         x = A * n + B + bytes(reversed(C))
         y = B + C * n + bytes(reversed(A))
         z = A + C + B * n
-        f = FunctionSpec(kind="threshold")
+        f = threshold_function()
         d_xy = nsd(x, y, f)
         d_xz = nsd(x, z, f)
         d_zy = nsd(z, y, f)
@@ -244,7 +251,7 @@ class TestNsd:
     st.sampled_from(["sigmoid", "threshold"]),
 )
 def test_bounds_property(x, y, kind):
-    est = conditional_complexity(x, Context((y,), Mode.SOURCE_ALL), FunctionSpec(kind=kind))
+    est = conditional_complexity(x, Context((y,), Mode.SOURCE_ALL), AdmissibleFunction(kind))
     assert 0.0 <= est.value < 1.0
     assert 0.0 <= est.spread <= 1.0
     assert 0.0 <= est.size < 1.0
@@ -259,3 +266,46 @@ def test_sigmoid_and_threshold_agree_far_from_cutoff():
     a = estimate_from_lengths(lengths, n, threshold_function(3.0))
     b = estimate_from_lengths(lengths, n, sigmoid_function(3.0))
     assert a.value == pytest.approx(b.value, rel=1e-9)
+
+
+def _loop_estimate(lengths, n, weight):
+    """The per-length loop that estimate_from_lengths replaced."""
+    count, fsum, wsum = 0, 0.0, 0.0
+    for l in lengths:
+        fl = weight(l)
+        count += 1
+        fsum += fl
+        wsum += l * fl
+    spread = 1.0 - (wsum - (fsum - 1.0)) / n
+    size = (count - 1) / n
+    return spread * size, spread, size
+
+
+_TABLE = {1: 0.0, 3: 0.2, 8: 0.9, 20: 1.0}
+
+
+def _loop_weight(kind, l0):
+    """The scalar weighting the loop called per length, and the function under test."""
+    if kind == "threshold":
+        return threshold_function(l0), lambda l: 1.0 if l > l0 else 0.0
+    if kind == "sigmoid":
+        return sigmoid_function(l0), lambda l: 0.0 if l0 - l > 700.0 else 1.0 / (1.0 + math.exp(l0 - l))
+    keys = sorted(_TABLE)
+    return table_function(_TABLE), lambda l: _TABLE[keys[max(bisect.bisect_right(keys, l) - 1, 0)]]
+
+
+# l0=None draws a cutoff per case; 1e6 is the exp-overflow regime
+@pytest.mark.parametrize("kind, l0", [
+    ("threshold", None), ("sigmoid", None), ("sigmoid", 1e6), ("table", None),
+])
+def test_estimate_equals_per_length_loop(kind, l0):
+    from salza.estimators import estimate_from_lengths
+
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        f, weight = _loop_weight(kind, float(rng.uniform(0, 12)) if l0 is None else l0)
+        lengths = rng.geometric(rng.uniform(0.02, 0.9), int(rng.integers(1, 10_001))).tolist()
+        n = sum(lengths) + int(rng.integers(0, 100))
+        assert f.weights(lengths).tolist() == [weight(l) for l in lengths]
+        est = estimate_from_lengths(lengths, n, f)
+        assert (est.value, est.spread, est.size) == _loop_estimate(lengths, n, weight)

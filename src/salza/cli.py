@@ -55,6 +55,20 @@ def _spec_errors(kind: str):
         raise ValueError(f"bad {kind} spec: {exc}") from exc
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Fails now, as the final write would, on an output path that cannot be written.
+
+    An existing file keeps its bytes (it is opened for appending), and a
+    file made by the check is removed again.
+    """
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        with open(path, "a"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
 def _read_corpus(files: tuple[str, ...]) -> tuple[list[str], list[bytes]]:
     labels: list[str] = []
     data: list[bytes] = []
@@ -74,11 +88,17 @@ def _read_corpus(files: tuple[str, ...]) -> tuple[list[str], list[bytes]]:
     return labels, data
 
 
+def _at_least_one(ctx, param, value):
+    if value is not None and value < 1:
+        raise ValueError(f"--threads must be at least 1, not {value}")
+    return value
+
+
 func_option = click.option("--func", default="sigmoid", show_default=True,
                            help="Admissible function: sigmoid|threshold|table:<path>.")
 l0_option = click.option("--l0", default="auto", show_default=True,
                          help="Cutoff length, or 'auto' for the per-context meaningful length.")
-threads_option = click.option("--threads", type=click.IntRange(min=1), default=None,
+threads_option = click.option("--threads", type=int, default=None, callback=_at_least_one,
                               help="Accepted for compatibility; cells are computed serially.")
 
 
@@ -112,6 +132,7 @@ def nsd(files, func, l0, threads, out):
     if len(files) < 2:
         raise click.ClickException("need at least two input files")
     fn = _load_function(func, l0)
+    _check_writable(out)
     labels, data = _read_corpus(files)
     n = len(data)
     d = np.zeros((n, n))
@@ -152,6 +173,7 @@ def causality(files, kind, func, l0, threshold, threads, out, matrix_out):
     if len(files) < 2:
         raise click.ClickException("need at least two input files")
     fn = _load_function(func, l0)
+    _check_writable(out, matrix_out)
     labels, data = _read_corpus(files)
     X = _directed.StringSet(tuple(labels), tuple(data))
     m = _directed.directed_info_matrix(X, kind=kind, f=fn, threshold=threshold)

@@ -22,6 +22,9 @@ DENSE_CELLS = 1 << 17
 #: Bits of the packed sort key of the suffix array (int64, sign bit clear).
 KEY_BITS = 63
 
+#: Pairs still matching, at most this many, that the LCP build finishes one by one.
+GALLOP = 32
+
 _INF = np.iinfo(np.int32).max
 
 
@@ -137,13 +140,13 @@ def _levels(out, pos, lcp, queries, points, b: int) -> None:
             a[:] = a[order]
 
 
-def _codes(strings: tuple[bytes, ...], dtype) -> np.ndarray:
-    """The strings concatenated, each followed by its own separator.
+def _codes(strings: tuple[bytes, ...], dtype, pad: int = 0) -> np.ndarray:
+    """The strings concatenated, each followed by its own separator, then pad zeros.
 
     Separators are unique and sort after every byte, so no common prefix
     runs past a string's end.
     """
-    codes = np.empty(sum(len(s) + 1 for s in strings), dtype)
+    codes = np.zeros(sum(len(s) + 1 for s in strings) + pad, dtype)
     at = 0
     for k, s in enumerate(strings):
         codes[at : at + len(s)] = np.frombuffer(s, np.uint8)
@@ -226,29 +229,82 @@ def _sort_block(rank, head, key, a: int, b: int, k: int, rb: int, ib: int) -> No
         last, start = group[-1], starts[-1]
 
 
-def _kasai(codes: np.ndarray, sa: np.ndarray, rank: np.ndarray, lcp: np.ndarray) -> None:
-    """lcp[i] = common prefix of suffixes sa[i - 1] and sa[i] (Kasai et al., 2001)."""
-    lcp[0] = 0
-    c, s, r, out = memoryview(codes), memoryview(sa), memoryview(rank), memoryview(lcp)
-    h = 0
-    for i in range(len(sa)):
-        ri = r[i]
-        if ri:
-            j = s[ri - 1]
-            while c[i + h] == c[j + h]:  # a separator stops it
-                h += 1
-            out[ri] = h
-            if h:
-                h -= 1
-        else:
-            h = 0
+def _lcp(strings: tuple[bytes, ...], sa: np.ndarray, rank: np.ndarray, lcp: np.ndarray) -> None:
+    """lcp[r] = common prefix of suffixes sa[r - 1] and sa[r] of the strings; rank is overwritten.
+
+    PLCP[i], the lcp of suffix i with Φ[i] = sa[rank[i] - 1], goes in text
+    order.  Suffix i is reducible when codes[i - 1] == codes[Φ[i] - 1]; then
+    PLCP[i] = PLCP[i - 1] - 1.  Only the others are compared, at most
+    2 N log N codes in all (Kärkkäinen, Manzini & Puglisi, 2009), and as
+    i + PLCP[i] never falls, a running maximum fills in the rest.  PLCP goes
+    to lcp's memory, then in suffix-array order to rank's.
+    """
+    n = len(sa)
+    dtype = np.min_scalar_type(255 + len(strings))
+    codes = _codes(strings, dtype, 8 // dtype.itemsize - 1)
+    words = np.ndarray(n, "<i8", codes, strides=(codes.itemsize,))  # the codes from i on, a word at a time
+    top = 0  # i + PLCP[i] at the last position done
+    for lo in range(0, n, CHUNK):
+        r = rank[lo : lo + CHUNK]
+        i = np.arange(lo, lo + len(r))
+        phi = sa[r - 1]
+        reducible = (r > 0) & (phi > 0) & (codes[i - 1] == codes[phi - 1])
+        if not lo:
+            reducible[0] = False  # suffix 0 has no code before it
+        at = np.flatnonzero(~reducible & (r > 0))  # sa[0] has no predecessor: PLCP 0
+        end = np.where(reducible, 0, i)
+        end[at] = _match_end(codes, words, i[at], phi[at])
+        end[0] = max(end[0], top)
+        np.maximum.accumulate(end, out=end)
+        top = int(end[-1])
+        lcp[lo : lo + len(r)] = end - i
+    for lo in range(0, n, CHUNK):
+        rank[lo : lo + CHUNK] = lcp[sa[lo : lo + CHUNK]]
+    lcp[:] = rank
+
+
+def _match_end(codes, words, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Moves each p and q on past the common prefix of the suffixes there; returns p.
+
+    While more than GALLOP pairs still match, each round moves them on by a
+    word; the rest then gallop one by one.  The arrays keep their size, as
+    numpy caches freed small blocks by size: shrinking arrays would leave
+    one there for every size they passed.
+    """
+    per = 8 // codes.itemsize
+    alive = np.ones(len(p), bool)
+    while np.count_nonzero(alive) > GALLOP:
+        alive &= words[p] == words[q]
+        np.add(p, per, out=p, where=alive)
+        np.add(q, per, out=q, where=alive)
+    for k in np.flatnonzero(alive).tolist():
+        p[k] += _gallop(codes, int(p[k]), int(q[k]))
+    run = ~alive
+    for _ in range(per - 1):  # the first code that differs lies in the word at p
+        run &= codes[p] == codes[q]
+        p += run
+        q += run
+    return p
+
+
+def _gallop(codes: np.ndarray, p: int, q: int) -> int:
+    """Common prefix of the suffixes at p and q, by slices of doubling length."""
+    h, step = 0, 64
+    while True:
+        k = min(step, len(codes) - max(p, q) - h)  # the separator ends it within the codes
+        diff = np.flatnonzero(codes[p + h : p + h + k] != codes[q + h : q + h + k])
+        if len(diff):
+            return h + int(diff[0])
+        h += k
+        step *= 2
 
 
 class Index:
     """Generalized suffix array over a tuple of strings, built on first use.
 
-    After the build it keeps, for every suffix in suffix-array order, its
-    position and its lcp with the one before: 8 bytes per indexed byte.
+    The build peaks in its LCP step at 14 bytes per indexed byte plus O(CHUNK)
+    temporaries.  After it the index keeps, for every suffix in suffix-array
+    order, its position and its lcp with the one before: 8 bytes per byte.
     Strings are found by value; equal strings share an entry, since match
     arrays depend only on content.  The match arrays of the last target
     asked for are cached, so that the terms of one target share them.
@@ -274,7 +330,7 @@ class Index:
         halves, rank = _suffix_array(self.strings)
         n = len(rank)
         sa = halves[:n]
-        _kasai(_codes(self.strings, np.min_scalar_type(255 + m)), sa, rank, halves[n:])
+        _lcp(self.strings, sa, rank, halves[n:])
         del rank
         # The separators' suffixes sort last and never match: drop them, but
         # keep one more lcp (0) to end the sequence.

@@ -182,23 +182,24 @@ class LengthProfile:
     sigmoid: Estimate
 
 
-def _poisson_lengths(rng: np.random.Generator, mu: float, total: int) -> list[int]:
-    """Poisson draws truncated to >= 1 (zeros resampled) summing exactly to total."""
-    lengths: list[int] = []
+def _poisson_lengths(rng: np.random.Generator, mu: float, total: int) -> np.ndarray:
+    """Poisson draws truncated to >= 1 (zeros resampled) summing exactly to total.
+
+    The draw that reaches total is cut down to what is left.
+    """
+    parts = []
     acc = 0
     while acc < total:
         batch = rng.poisson(mu, size=max(16, int(2 * (total - acc) / mu) + 1))
-        for l in batch:
-            if l < 1:
-                continue
-            l = int(l)
-            if acc + l >= total:
-                lengths.append(total - acc)
-                acc = total
-                break
-            lengths.append(l)
-            acc += l
-    return lengths
+        draws = batch[batch > 0]
+        ends = acc + np.cumsum(draws)
+        k = int(np.searchsorted(ends, total))  # the first draw that reaches total
+        if k < len(draws):
+            draws = draws[: k + 1]
+            draws[k] -= ends[k] - total
+        parts.append(draws)
+        acc += int(draws.sum())
+    return np.concatenate(parts)
 
 
 def length_profile(spec: LengthProfileSpec) -> LengthProfile:

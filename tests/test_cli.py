@@ -1,3 +1,6 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -84,7 +87,7 @@ class TestNsd:
     def test_bad_numeric_option_is_one_line_error(self, runner, tmp_path, option, value):
         files = write_corpus(tmp_path, SAMPLE)
         res = runner.invoke(main, ["nsd", *files, option, value, "--out", str(tmp_path / "d.tsv")])
-        assert res.exit_code != 0
+        assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit), res.exception  # no traceback
         last = res.output.strip().splitlines()[-1]
         assert last.startswith("Error:") and option in last
@@ -275,6 +278,14 @@ class TestSimulate:
         assert "bad simulate spec" in res.output
 
 
+@contextlib.contextmanager
+def _computing_fails(exc):
+    """Every nsd cell and every directed-information matrix raises exc."""
+    with mock.patch("salza.estimators.nsd", side_effect=exc), \
+            mock.patch("salza.directed.directed_info_matrix", side_effect=exc):
+        yield
+
+
 def _bad_table(tmp_path):
     table = tmp_path / "steps.txt"
     table.write_text("3 0.2 9\n")
@@ -295,7 +306,28 @@ def _bad_table(tmp_path):
         "markov-spec", "dag-spec", "simulate-spec", "cluster-matrix"])
 def test_bad_file_is_one_line_error(runner, tmp_path, make_args):
     files = write_corpus(tmp_path, {"x": SAMPLE["alpha"], "y": SAMPLE["beta"]})
-    res = runner.invoke(main, make_args(files, tmp_path))
+    # an output path is checked before any cell is computed
+    with _computing_fails(RuntimeError("computed before checking the output")):
+        res = runner.invoke(main, make_args(files, tmp_path))
     assert isinstance(res.exception, SystemExit), res.exception  # no traceback
     assert res.output.strip().splitlines()[-1].startswith("Error:")
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("command, outs", [
+    ("nsd", ["--out"]),
+    ("causality", ["--out", "--matrix-out"]),
+])
+def test_failed_run_leaves_outputs_as_they_were(runner, tmp_path, command, outs):
+    files = write_corpus(tmp_path, {"x": SAMPLE["alpha"], "y": SAMPLE["beta"]})
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("keep me\n")
+    for paths in ([old, new], [new, old]):
+        args = [command, *files]
+        for option, path in zip(outs, paths):
+            args += [option, str(path)]
+        with _computing_fails(ValueError("boom")):
+            res = runner.invoke(main, args)
+        assert res.exit_code == 1 and res.output.strip().endswith("Error: boom")
+        assert old.read_text() == "keep me\n"  # not truncated
+        assert not new.exists()  # not left behind empty

@@ -116,3 +116,54 @@ def test_suffix_array_in_blocks_sorts_suffixes(spare_bits):
             halves, rank = index._suffix_array(strings)
         assert halves[:n].tolist() == sorted(range(n), key=lambda i: codes[i:])
         assert rank.tolist() == np.argsort(halves[:n]).tolist()
+
+
+def _naive_lcp(strings):
+    """Common prefix of each suffix with the one before it in sorted order."""
+    codes = index._codes(strings, np.int32).tolist()
+    order = sorted(range(len(codes)), key=lambda i: codes[i:])
+
+    def common(a, b):
+        h = 0
+        while codes[a + h] == codes[b + h]:  # unique separators end every match
+            h += 1
+        return h
+
+    return [0] + [common(a, b) for a, b in zip(order, order[1:])]
+
+
+def _built_lcp(strings):
+    halves, rank = index._suffix_array(strings)
+    n = len(rank)
+    index._lcp(strings, halves[:n], rank, halves[n:])
+    return halves[n:].tolist()
+
+
+def _planted(rng, block, copies):
+    """copies strings that start with block, each after a different separator, then noise."""
+    return tuple(block + rng.integers(0, 4, int(rng.integers(0, 20)), dtype=np.uint8).tobytes()
+                 for _ in range(copies))
+
+
+@pytest.mark.parametrize("chunk", [index.CHUNK, 3])
+def test_lcp_equals_naive_definition(chunk):
+    rng = np.random.default_rng(9)
+    sets = []
+    for _ in range(60):
+        alpha = int(rng.integers(1, 5))  # alphabet 1: unary strings
+        strings = [rng.integers(0, alpha, int(rng.integers(0, 60)), dtype=np.uint8).tobytes()
+                   for _ in range(int(rng.integers(1, 4)))]
+        sets.append(tuple(strings + strings[:1]))  # equal strings tie until their separators
+    block = rng.integers(0, 4, 300, dtype=np.uint8).tobytes()
+    sets.append((b"\1" + block + b"\2\3", block + b"\0\1"))  # one long pair: the rounds stop, it gallops
+    sets.append(_planted(rng, block[:100], index.GALLOP + 8))  # more long pairs than GALLOP: all go in rounds
+    real, galloped = index._gallop, []
+
+    def gallop(*args):
+        galloped.append(real(*args))
+        return galloped[-1]
+
+    with mock.patch.object(index, "CHUNK", chunk), mock.patch.object(index, "_gallop", gallop):
+        for strings in sets:
+            assert _built_lcp(strings) == _naive_lcp(strings), strings
+    assert max(galloped) > 200  # the long pair went through the galloping tail

@@ -10,6 +10,7 @@ from salza.synth import (
     length_profile,
     parse_spec_file,
 )
+from salza.synth import _poisson_lengths
 
 
 class TestMarkov:
@@ -122,6 +123,28 @@ class TestLengthProfile:
         assert p.threshold.spread >= p.sigmoid.spread > 0.95
         assert p.sigmoid.spread > p.sigmoid.size
         assert p.threshold.value > p.threshold.size ** 2 * 1.5
+
+    @pytest.mark.parametrize("mu", [0.3, 1, 3.5, 20])
+    @pytest.mark.parametrize("total", [1, 7, 1000, 262144])
+    def test_lengths_equal_per_draw_loop(self, mu, total):
+        def loop(rng):
+            lengths, acc = [], 0
+            while acc < total:
+                batch = rng.poisson(mu, size=max(16, int(2 * (total - acc) / mu) + 1))
+                for l in batch:
+                    if l < 1:
+                        continue
+                    if acc + l >= total:
+                        lengths.append(total - acc)
+                        acc = total
+                        break
+                    lengths.append(int(l))
+                    acc += int(l)
+            return lengths
+
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        assert _poisson_lengths(rng, mu, total).tolist() == loop(ref)
+        assert rng.integers(1 << 30) == ref.integers(1 << 30)  # the same draws were taken
 
     def test_bad_mu_rejected(self):
         with pytest.raises(ValueError, match="mu"):

@@ -8,6 +8,7 @@ thread count never changes the output bytes.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from pathlib import Path
 
@@ -88,17 +89,27 @@ def _read_corpus(files: tuple[str, ...]) -> tuple[list[str], list[bytes]]:
     return labels, data
 
 
-def _at_least_one(ctx, param, value):
-    if value is not None and value < 1:
-        raise ValueError(f"--threads must be at least 1, not {value}")
-    return value
+def _number(kind, rule: str, ok):
+    """Option callback: the value as kind, if ok; else a ValueError naming the option."""
+
+    def convert(ctx, param, value):
+        if value is None:
+            return None
+        with contextlib.suppress(ValueError):
+            number = kind(value)
+            if ok(number):
+                return number
+        raise ValueError(f"--{param.name} must be {rule}, not {value!r}")
+
+    return convert
 
 
 func_option = click.option("--func", default="sigmoid", show_default=True,
                            help="Admissible function: sigmoid|threshold|table:<path>.")
 l0_option = click.option("--l0", default="auto", show_default=True,
                          help="Cutoff length, or 'auto' for the per-context meaningful length.")
-threads_option = click.option("--threads", type=int, default=None, callback=_at_least_one,
+threads_option = click.option("--threads", type=str, default=None, metavar="INTEGER",
+                              callback=_number(int, "an integer >= 1", lambda n: n >= 1),
                               help="Accepted for compatibility; cells are computed serially.")
 
 
@@ -162,7 +173,9 @@ def cluster(matrix, method, out, show_ascii):
 @click.option("--kind", type=click.Choice(["causal", "full"]), default="causal", show_default=True)
 @func_option
 @l0_option
-@click.option("--threshold", type=float, default=_directed.DEFAULT_THRESHOLD, show_default=True,
+@click.option("--threshold", type=str, default=_directed.DEFAULT_THRESHOLD, show_default=True,
+              metavar="FLOAT",
+              callback=_number(float, "a finite number >= 0", lambda x: 0.0 <= x < math.inf),
               help="Edge filter on directed information values.")
 @threads_option
 @click.option("--out", required=True, type=click.Path(), help="Output DOT graph.")

@@ -9,6 +9,7 @@ own past plus every other string in the set, once without i and once with it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -63,6 +64,11 @@ class DirectedInfoMatrix:
     threshold: float = DEFAULT_THRESHOLD
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be a finite number >= 0, not {threshold!r}")
+
+
 def _term(X: StringSet, j: int, exclude: set[int], kind: str, f: AdmissibleFunction | None,
           index: Index | None = None) -> float:
     sources = tuple(s for k, s in enumerate(X.strings) if k != j and k not in exclude)
@@ -100,15 +106,18 @@ def directed_info_matrix(
 
     One index over the set serves every term: the match arrays of target
     j are computed once and shared by the n terms of column j, including
-    the subtrahend (j conditioned on everything but itself).  `threads` is
-    accepted for compatibility; the columns are computed serially.
+    the subtrahend (j conditioned on everything but itself).  The causal
+    kind, which needs the aligned arrays of every ordered pair, takes them
+    all from one sweep over the index.  `threads` is accepted for
+    compatibility; the columns are computed serially.
     """
     if kind not in _KIND_MODES:
         raise ValueError(f"unknown kind: {kind}")
+    _check_threshold(threshold)
     n = len(X)
     if n < 2:
         raise ValueError("need at least two strings")
-    index = Index(X.strings)
+    index = Index(X.strings, all_pairs=kind == "causal")
 
     def column(j: int) -> list[float]:
         base = _term(X, j, set(), kind, f, index)
@@ -125,8 +134,7 @@ def extract_dag(m: DirectedInfoMatrix, threshold: float | None = None) -> list[t
     an error.
     """
     thr = m.threshold if threshold is None else threshold
-    if thr < 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_threshold(thr)
     n = len(m.labels)
     edges = [
         (i, j, float(m.values[i, j]))

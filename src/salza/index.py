@@ -98,30 +98,41 @@ def _child_lcp(lcp: np.ndarray, bit: np.ndarray) -> None:
         part[:] = np.where(half, ones, zeros)
 
 
-def _levels(out, pos, lcp, queries, points, b: int) -> None:
-    """Match every query q with the points p < q, in a sequence that is one block above bit b.
+def _local(pos, sid, starts, s=slice(None)):
+    """Positions of a slice of the sequence within their strings."""
+    return pos[s] if starts is None else pos[s] - starts[sid[s]]
 
-    A pair p < q first differs in one bit, where p has 0 and q has 1.  Going
-    down from the top bit b, the elements stay in blocks of equal
-    pos >> (b + 1), each in suffix-array order, and the points with bit b
-    clear meet the queries with bit b set.  A child block's lcp is the
-    running minimum over its parent's.  A large block is split in place,
-    so that its halves are views; smaller ones are reordered together.
-    queries and points are None for the own past, where every element is
-    both.  The arrays are overwritten.
+
+def _levels(rows, pos, lcp, sid, starts, b: int, target=None) -> None:
+    """Match each query with the points at smaller positions, in a sequence one block above bit b.
+
+    The sequence holds suffixes in suffix-array order: pos their positions,
+    in the index if starts is given or else in their strings, and sid their
+    strings (None: all of one string), which begin at starts[sid].  rows[r]
+    receives at pos[q], for each query q (a suffix of string target; any if
+    target is None), its longest match with the points: the suffixes of
+    string r at a smaller position in their string.  Such a pair p < q
+    first differs in one bit, where p has 0 and q has 1.  Going down from
+    the top bit b, the elements stay in blocks of equal position >> (b + 1),
+    each in suffix-array order, and the points with bit b clear meet the
+    queries with bit b set.  A child block's lcp is the running minimum over
+    its parent's.  A large block is split in place, so that its halves are
+    views; smaller ones are reordered together.  The arrays are overwritten.
     """
     while True:
-        bit = np.concatenate([(pos[lo : lo + CHUNK] >> b) & 1 == 1 for lo in range(0, len(pos), CHUNK)])
+        bit = np.concatenate([_local(pos, sid, starts, slice(lo, lo + CHUNK)) >> b & 1 == 1
+                              for lo in range(0, len(pos), CHUNK)])
         low = ~bit
-        if queries is None:
-            _nearest(out, pos, lcp, low.__getitem__, bit.__getitem__)
-        else:
-            _nearest(out, pos, lcp, (points & low).__getitem__, (queries & bit).__getitem__)
+        queries = bit if target is None else bit & (sid == target)
+        for r, out in rows.items():
+            points = low if sid is None else low & (sid == r)
+            _nearest(out, pos, lcp, points.__getitem__, queries.__getitem__)
+        del queries, points
         if b == 0:
             return
         _child_lcp(lcp, bit)
         b -= 1
-        arrays = [pos, lcp[:-1]] + ([] if queries is None else [queries, points])
+        arrays = [pos, lcp[:-1]] + ([] if sid is None else [sid])
         if len(pos) > CHUNK:
             # the second half's first lcp (0) also ends the first half
             zeros = int(np.count_nonzero(low))
@@ -131,11 +142,11 @@ def _levels(out, pos, lcp, queries, points, b: int) -> None:
                 a[zeros:] = tail
             del bit, low, tail
             for lo, hi in ((0, zeros), (zeros, len(pos))):
-                flags = (None, None) if queries is None else (queries[lo:hi], points[lo:hi])
                 if hi > lo:
-                    _levels(out, pos[lo:hi], lcp[lo : hi + 1], *flags, b)
+                    _levels(rows, pos[lo:hi], lcp[lo : hi + 1], None if sid is None else sid[lo:hi],
+                            starts, b, target)
             return
-        order = np.argsort(pos >> (b + 1), kind="stable")
+        order = np.argsort(_local(pos, sid, starts) >> (b + 1), kind="stable")
         for a in arrays:
             a[:] = a[order]
 
@@ -308,14 +319,23 @@ class Index:
     Strings are found by value; equal strings share an entry, since match
     arrays depend only on content.  The match arrays of the last target
     asked for are cached, so that the terms of one target share them.
+
+    With all_pairs, the aligned match arrays of every ordered pair come from
+    one sweep over the whole index on first use.  The sweep takes over the
+    index's arrays (a later whole-source request builds them again) and adds
+    one byte per indexed byte for the string ids; its table keeps m entries
+    per indexed byte, for m strings, of the smallest unsigned type that holds
+    the longest string.
     """
 
-    def __init__(self, strings):
+    def __init__(self, strings, all_pairs: bool = False):
         self._ids: dict[bytes, int] = {}
         for s in strings:
             self._ids.setdefault(bytes(s), len(self._ids))
         self.strings = tuple(self._ids)
-        self._sa = None
+        self._starts = np.cumsum([0] + [len(s) + 1 for s in self.strings[:-1]])
+        self._sa = self._table = None
+        self._all_pairs = all_pairs
         self._target, self._cache = None, {}
 
     def id(self, s: bytes) -> int:
@@ -326,7 +346,6 @@ class Index:
 
     def _build(self) -> None:
         m = len(self.strings)
-        self._starts = np.cumsum([0] + [len(s) + 1 for s in self.strings[:-1]])
         halves, rank = _suffix_array(self.strings)
         n = len(rank)
         sa = halves[:n]
@@ -339,12 +358,17 @@ class Index:
         self._lcp[real] = 0
         self._sa = sa[:real]
 
-    def _sid(self, s: slice) -> np.ndarray:
-        """The string of each suffix in a slice of the suffix array."""
-        return np.searchsorted(self._starts, self._sa[s], side="right") - 1
+    def _sid(self, pos: np.ndarray) -> np.ndarray:
+        """The string of each of some positions in the index."""
+        return np.searchsorted(self._starts, pos, side="right") - 1
 
     def matches(self, target: int, region: int, whole: bool) -> np.ndarray:
         """Match array of strings[target] against strings[region]."""
+        if self._all_pairs and not whole:
+            if self._table is None:
+                self._table = self._aligned_table()
+            start = self._starts[target]
+            return self._table[region, start : start + len(self.strings[target])]
         if self._sa is None:
             self._build()
         if self._target != target:
@@ -359,35 +383,56 @@ class Index:
         if t == r:
             return np.arange(n, 0, -1, dtype=np.int32)
         out = np.zeros(n, np.int32)
-        _nearest(out, self._sa, self._lcp, lambda s: self._sid(s) == r,
-                 lambda s: self._sid(s) == t, self._starts[t])
+        _nearest(out, self._sa, self._lcp, lambda s: self._sid(self._sa[s]) == r,
+                 lambda s: self._sid(self._sa[s]) == t, self._starts[t])
         return out
 
     def _aligned(self, t: int, r: int) -> np.ndarray:
         n = len(self.strings[t])
         out = np.zeros(n, np.int32)
         if n > 1:
-            _levels(out, *self._gather(t, r, n - 1), (n - 1).bit_length() - 1)
+            pos, lcp, sid = self._gather(t, r, n - 1)
+            b = (n - 1).bit_length() - 1
+            _levels({1: out}, pos, lcp, sid, None, b, target=None if t == r else 0)
         return out
+
+    def _aligned_table(self) -> np.ndarray:
+        """Row r holds the aligned matches against strings[r] at every position in the index."""
+        if self._sa is None:
+            self._build()
+        pos, lcp = self._sa, self._lcp
+        self._sa = self._lcp = None
+        m = len(self.strings)
+        sid = np.empty(len(pos), np.min_scalar_type(m - 1))
+        for lo in range(0, len(pos), CHUNK):
+            sid[lo : lo + CHUNK] = self._sid(pos[lo : lo + CHUNK])
+        longest = max(map(len, self.strings))
+        width = self._starts[-1] + len(self.strings[-1])
+        table = np.zeros((m, width), np.min_scalar_type(longest))
+        if longest > 1:
+            b = (longest - 1).bit_length() - 1
+            _levels(dict(enumerate(table)), pos, lcp, sid, self._starts, b)
+        table.flags.writeable = False  # matches hands out views of it
+        return table
 
     def _gather(self, t: int, r: int, limit: int):
         """Suffixes of the target and those of the region starting before limit.
 
-        Returns, in suffix-array order, their positions, the lcp of each
-        with the one before (and a final 0), and which are targets
-        (queries) and which regions (points); None for the own past.
+        Returns, in suffix-array order, their positions in their strings,
+        the lcp of each with the one before (and a final 0), and their
+        strings: 0 the target, 1 the region; None for the own past.
         """
         start_t, start_r = self._starts[t], self._starts[r]
         own = r == t
         size = len(self.strings[t]) + (0 if own else min(limit, len(self.strings[r])))
         pos, lcp = np.empty(size, np.int32), np.zeros(size + 1, np.int32)
-        queries, points = (None, None) if own else (np.empty(size, bool), np.empty(size, bool))
+        sid = None if own else np.empty(size, np.uint8)
         carry, kept_last, at = _INF, False, 0
         for lo in range(0, len(self._sa), CHUNK):
             sa = self._sa[lo : lo + CHUNK]
-            sid = self._sid(slice(lo, lo + CHUNK))
-            is_t = sid == t
-            is_r = (sid == r) & (sa < start_r + limit)
+            ids = self._sid(sa)
+            is_t = ids == t
+            is_r = (ids == r) & (sa < start_r + limit)
             keep = is_t if own else is_t | is_r
             w = _segmin(self._lcp[lo : lo + len(sa)], _after(keep, kept_last), carry)
             carry, kept_last = int(w[-1]), bool(keep[-1])
@@ -395,9 +440,9 @@ class Index:
             pos[at:end] = sa[keep] - np.where(is_t[keep], start_t, start_r)
             lcp[at:end] = w[keep]
             if not own:
-                queries[at:end], points[at:end] = is_t[keep], is_r[keep]
+                sid[at:end] = is_r[keep]
             at = end
-        return pos, lcp, queries, points
+        return pos, lcp, sid
 
 
 def _dense(target: bytes, regions: list[bytes], whole: list[bool]):

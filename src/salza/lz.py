@@ -88,12 +88,8 @@ class Context:
         Modes that include the target's own past contribute the target's
         alphabet as well.
         """
-        values: set[int] = set()
-        for s in self.sources:
-            values.update(s)
-        if self.uses_own_past:
-            values.update(target)
-        return frozenset(values)
+        regions = b"".join(self.sources + (target,) * self.uses_own_past)
+        return frozenset(np.bincount(np.frombuffer(regions, np.uint8)).nonzero()[0].tolist())
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,17 @@ class TestCausality:
         assert res.exit_code == 0, res.output
         assert "->" not in dot.read_text()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "foo"])
+    def test_bad_threshold_is_one_line_error(self, runner, tmp_path, value):
+        files = write_corpus(tmp_path, {"x": SAMPLE["alpha"]}) + [str(tmp_path / "missing")]
+        res = runner.invoke(main, ["causality", *files, "--threshold", value,
+                                   "--out", str(tmp_path / "g.dot")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+        # checked before the corpus is read: the missing file is not what fails
+        assert res.output.strip().splitlines() == [
+            f"Error: --threshold must be a finite number >= 0, not {value!r}"]
+
 
 class TestGenMarkov:
     def test_realizations_written(self, runner, tmp_path):
@@ -331,3 +342,17 @@ def test_failed_run_leaves_outputs_as_they_were(runner, tmp_path, command, outs)
         assert res.exit_code == 1 and res.output.strip().endswith("Error: boom")
         assert old.read_text() == "keep me\n"  # not truncated
         assert not new.exists()  # not left behind empty
+
+
+@pytest.mark.parametrize("args", [
+    ["nsd", "--threads", "foo"],
+    ["causality", "--threads", "foo"],
+    ["causality", "--threads", "2.5"],
+])
+def test_non_numeric_option_is_one_line_error(runner, tmp_path, args):
+    files = write_corpus(tmp_path, {"x": SAMPLE["alpha"], "y": SAMPLE["beta"]})
+    res = runner.invoke(main, [args[0], *files, *args[1:], "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    last = res.output.strip().splitlines()[-1]
+    assert last.startswith("Error:") and args[1] in last and repr(args[2]) in last

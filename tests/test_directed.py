@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,16 @@ class TestExtractDag:
         m = self._matrix([[0, 0.1], [0.0, 0]])
         with pytest.raises(ValueError):
             extract_dag(m, threshold=-1)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1e-9])
+    def test_non_finite_or_negative_threshold_rejected(self, threshold):
+        m = self._matrix([[0, 0.1], [0.0, 0]])
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            extract_dag(m, threshold=threshold)
+        X = StringSet(("a", "b"), (b"abcabc" * 50, b"abcabd" * 50))
+        with mock.patch("salza.directed.conditional_complexity", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="finite number >= 0"):  # before any term
+                directed_info_matrix(X, threshold=threshold)
 
     def test_negative_cells_not_clamped(self):
         m = self._matrix([[0, -0.02], [0.3, 0]])

@@ -50,6 +50,20 @@ class TestMeaningfulCutoff:
         c = Context((bytes(range(4)) * 8,), Mode.SOURCE_PAST)
         assert meaningful_cutoff(bytes(range(4)) * 2, c) == pytest.approx(math.log(8, 4))
 
+    def test_alphabet_is_union_of_region_bytes(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            strings = [rng.integers(0, int(rng.integers(1, 257)), int(rng.integers(1, 300)),
+                                    dtype=np.uint8).tobytes() for _ in range(4)]
+            for mode in (Mode.PAST_OF_BOTH, Mode.SOURCE_ALL):
+                ctx = Context(tuple(strings[1:]), mode)
+                want = set().union(*strings[1:], strings[0] if ctx.uses_own_past else b"")
+                assert ctx.alphabet(strings[0]) == frozenset(want)
+                a = len(want)
+                region = ctx.region_length(len(strings[0]))
+                cutoff = math.log(region) / math.log(a) if a > 1 else float(region)
+                assert meaningful_cutoff(strings[0], ctx) == cutoff
+
 
 class TestAdmissibleFunctions:
     def test_threshold_is_strict(self):

@@ -167,3 +167,83 @@ def test_lcp_equals_naive_definition(chunk):
         for strings in sets:
             assert _built_lcp(strings) == _naive_lcp(strings), strings
     assert max(galloped) > 200  # the long pair went through the galloping tail
+
+
+def _naive_aligned(target, region):
+    """Longest match at each target position q with a region start p < q."""
+    def common(q, p):
+        h = 0
+        while q + h < len(target) and p + h < len(region) and target[q + h] == region[p + h]:
+            h += 1
+        return h
+
+    return [max((common(q, p) for p in range(min(q, len(region)))), default=0)
+            for q in range(len(target))]
+
+
+def _string_sets(rng, big):
+    """Seeded sets of unequal lengths around powers of two, over alphabets 1-4, one duplicated."""
+    lengths = [1, 2, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65]
+    if big:
+        lengths = [1, 2, 4095, 4096, 4097, 8191, 8193]  # together more than the default CHUNK
+    sets = []
+    for alpha in (1, 2, 3, 4):
+        for _ in range(3 if big else 10):
+            sizes = rng.choice(lengths, int(rng.integers(1, 5)))
+            strings = [rng.integers(0, alpha, int(k), dtype=np.uint8).tobytes() for k in sizes]
+            sets.append(tuple(strings + strings[:1]))  # the index dedups the copy
+    return sets
+
+
+@pytest.mark.parametrize("chunk", [index.CHUNK, 3])
+def test_all_pairs_table_equals_per_pair_arrays(chunk):
+    rng = np.random.default_rng(12)
+    sets = _string_sets(rng, big=False) + (_string_sets(rng, big=True) if chunk == index.CHUNK else [])
+    with mock.patch.object(index, "CHUNK", chunk):
+        for strings in sets:
+            table, pairs = index.Index(strings, all_pairs=True), index.Index(strings)
+            assert len(table.strings) < len(strings)
+            for t, target in enumerate(table.strings):
+                for r, region in enumerate(table.strings):
+                    got = table.matches(t, r, whole=False)
+                    assert got.tolist() == pairs.matches(t, r, whole=False).tolist(), (strings, t, r)
+                    if len(target) < 100:
+                        assert got.tolist() == _naive_aligned(target, region)
+            # the sweep took over the index's arrays; a whole-source request builds them again
+            last = len(table.strings) - 1
+            assert table.matches(0, last, True).tolist() == pairs.matches(0, last, True).tolist()
+
+
+def _unequal_dag_strings():
+    m = np.array([[0.0, 0.0, 0.0, 1.0], [0.8, 0.0, 0.0, 0.2], [0.0, 0.7, 0.0, 0.3]])
+    dag = generate_dag_processes(DagSpec(m, length=900, seed=6, alphabet_size=4))
+    return [s[:k] for s, k in zip(dag.strings, (900, 517, 256))] + [dag.strings[0][:255]]
+
+
+def test_causal_matrix_on_unequal_lengths_equals_terms():
+    strings = _unequal_dag_strings()
+    X = StringSet(("a", "b", "c", "d"), tuple(strings))
+    n = len(strings)
+    with mock.patch.object(index, "DENSE_CELLS", 0):
+        got = directed_info_matrix(X, kind="causal").values
+        for j in range(n):
+            def term(skip):
+                others = tuple(s for k, s in enumerate(strings) if k not in (j, skip))
+                return conditional_complexity(strings[j], Context(others, Mode.PAST_OF_BOTH)).value
+
+            base = term(None)
+            for i in range(n):
+                assert got[i, j] == (term(i) - base if i != j else 0.0)
+
+
+@pytest.mark.parametrize("kind, sweeps, pair_runs", [("causal", 1, 0), ("full", 0, 4)])
+def test_causal_matrix_takes_one_sweep(kind, sweeps, pair_runs):
+    X = StringSet(("a", "b", "c", "d"), tuple(_unequal_dag_strings()))
+    with mock.patch.object(index, "DENSE_CELLS", 0), \
+            mock.patch.object(index.Index, "_aligned_table", autospec=True,
+                              side_effect=index.Index._aligned_table) as table, \
+            mock.patch.object(index.Index, "_aligned", autospec=True,
+                              side_effect=index.Index._aligned) as pair:
+        directed_info_matrix(X, kind=kind)
+    assert table.call_count == sweeps
+    assert pair.call_count == pair_runs  # the full kind: each target's own past, once

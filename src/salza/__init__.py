@@ -18,6 +18,7 @@ from .estimators import (
     joint_complexity,
     meaningful_cutoff,
     nsd,
+    nsd_matrix,
     sigmoid_function,
     simple_complexity,
     table_function,
@@ -61,6 +62,7 @@ __all__ = [
     "meaningful_cutoff",
     "neighbor_joining",
     "nsd",
+    "nsd_matrix",
     "reference_lengths",
     "sigmoid_function",
     "simple_complexity",

@@ -13,7 +13,6 @@ import os
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import cluster as _cluster
 from . import directed as _directed
@@ -145,12 +144,7 @@ def nsd(files, func, l0, threads, out):
     fn = _load_function(func, l0)
     _check_writable(out)
     labels, data = _read_corpus(files)
-    n = len(data)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = _est.nsd(data[i], data[j], fn)
-    _tsv.write_matrix(out, labels, d)
+    _tsv.write_matrix(out, labels, _est.nsd_matrix(data, fn))
 
 
 @main.command()

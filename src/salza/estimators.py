@@ -26,8 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .index import Index
-from .lz import MIN_MATCH, Context, Mode, factorize
+from .index import Index, whole_matches
+from .lz import MIN_MATCH, Context, Mode, factorize, walk
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,16 @@ def conditional_complexity(x: bytes, context: Context, f: AdmissibleFunction | N
     f defaults to the sigmoid; a cutoff of None becomes the context's
     meaningful cutoff.
     """
+    return _estimate(x, context, factorize(x, context).lengths, f)
+
+
+def _estimate(x: bytes, context: Context, lengths: Sequence[int],
+              f: AdmissibleFunction | None) -> Estimate:
+    """conditional_complexity from the symbol lengths of x's factorization against context."""
     f = AdmissibleFunction() if f is None else f
     if f.kind != "table" and f.l0 is None:
         f = AdmissibleFunction(f.kind, meaningful_cutoff(x, context))
-    fact = factorize(x, context)
-    return estimate_from_lengths(fact.lengths, len(x), f)
+    return estimate_from_lengths(lengths, len(x), f)
 
 
 def simple_complexity(x: bytes, f: AdmissibleFunction | None = None) -> Estimate:
@@ -165,32 +170,60 @@ def joint_complexity(x: bytes, y: bytes, f: AdmissibleFunction | None = None) ->
 
     Factorizes y against its own past plus all of x, adds the complexity of
     x alone, and a length-ratio term in the log base of x's alphabet so that
-    joint(x, x) == simple(x).
+    joint(x, x) == simple(x).  Both factorizations share one index over
+    the pair.
     """
     x, y = bytes(x), bytes(y)
     ax = len(set(x))
     if ax < 2:
         raise ValueError("undefined log base")
-    ctx = Context((x,), Mode.PAST_AND_SOURCES)
-    cond = conditional_complexity(y, ctx, f)
-    return cond.value + simple_complexity(x, f).value + math.log(len(x) / len(y), ax)
+    index = Index((x, y))
+    cond = conditional_complexity(y, Context((x,), Mode.PAST_AND_SOURCES, index), f)
+    alone = conditional_complexity(x, Context((x,), Mode.SOURCE_PAST, index), f)
+    return cond.value + alone.value + math.log(len(x) / len(y), ax)
 
 
 def nsd(x: bytes, y: bytes, f: AdmissibleFunction | None = None) -> float:
     """Normalized semi-distance: max of the two cross-parsing estimates.
 
     Symmetric and nonnegative; zero exactly for equal inputs of length >= 3.
-    The triangle inequality does not hold in general.  Both directions
-    share one index over the pair.
+    The triangle inequality does not hold in general.  This is the
+    two-string case of nsd_matrix.
     """
-    x, y = bytes(x), bytes(y)
-    if min(len(x), len(y)) < MIN_MATCH:
+    return float(nsd_matrix((x, y), f)[0, 1])
+
+
+def nsd_matrix(strings: Sequence[bytes], f: AdmissibleFunction | None = None) -> np.ndarray:
+    """The nsd of every two of strings, as a symmetric matrix with a zero diagonal.
+
+    One Index over the strings serves every cell.  For each distinct string
+    r, one nearest pass gives the whole-source match array against r of
+    every other string (Index.whole_row); each is walked and estimated, and
+    the row is dropped before the next r.  Equal strings share an index
+    entry, and a pair small enough for the dense kernel takes it instead.
+    """
+    strings = [bytes(s) for s in strings]
+    m = len(strings)
+    if not all(strings):
+        raise ValueError("empty input")
+    if m > 1 and min(map(len, strings)) < MIN_MATCH:
         warnings.warn(
             "strings shorter than 3 bytes can never be matched; "
             "the distance is positive even for equal inputs",
             stacklevel=2,
         )
-    index = Index((x, y))
-    a = conditional_complexity(x, Context((y,), Mode.SOURCE_ALL, index), f)
-    b = conditional_complexity(y, Context((x,), Mode.SOURCE_ALL, index), f)
-    return max(a.value, b.value)
+    index = Index(strings)
+    ids = np.array([index.id(s) for s in strings], dtype=np.intp)
+    k = len(index.strings)
+    copies = np.bincount(ids, minlength=k)
+    est = np.zeros((k, k))  # est[t, r]: distinct string t given distinct string r
+    for r, source in enumerate(index.strings):
+        context = Context((source,), Mode.SOURCE_ALL)
+        targets = [t for t in range(k) if t != r or copies[r] > 1]
+        for t, best in whole_matches(index, r, targets):
+            est[t, r] = _estimate(index.strings[t], context, walk(best), f).value
+            del best  # the row goes with its last view, before the next one is made
+    cells = est[np.ix_(ids, ids)]
+    d = np.maximum(cells, cells.T)
+    np.fill_diagonal(d, 0.0)
+    return d

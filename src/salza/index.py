@@ -315,17 +315,21 @@ class Index:
 
     The build peaks in its LCP step at 14 bytes per indexed byte plus O(CHUNK)
     temporaries.  After it the index keeps, for every suffix in suffix-array
-    order, its position and its lcp with the one before: 8 bytes per byte.
-    Strings are found by value; equal strings share an entry, since match
-    arrays depend only on content.  The match arrays of the last target
-    asked for are cached, so that the terms of one target share them.
+    order, its position, its lcp with the one before and its string: 9 bytes
+    per byte (up to 256 strings).  Strings are found by value; equal strings
+    share an entry, since match arrays depend only on content.  The match
+    arrays of the last target asked for are cached, so that the terms of one
+    target share them.
+
+    whole_row(r) gives the whole-source match arrays of every string against
+    strings[r] from one nearest pass, 4 bytes per indexed byte; nsd_matrix
+    takes one row per source, so that one index serves a whole corpus.
 
     With all_pairs, the aligned match arrays of every ordered pair come from
     one sweep over the whole index on first use.  The sweep takes over the
-    index's arrays (a later whole-source request builds them again) and adds
-    one byte per indexed byte for the string ids; its table keeps m entries
-    per indexed byte, for m strings, of the smallest unsigned type that holds
-    the longest string.
+    index's arrays (a later whole-source request builds them again); its
+    table keeps m entries per indexed byte, for m strings, of the smallest
+    unsigned type that holds the longest string.
     """
 
     def __init__(self, strings, all_pairs: bool = False):
@@ -357,10 +361,10 @@ class Index:
         self._lcp = halves[n : n + real + 1]
         self._lcp[real] = 0
         self._sa = sa[:real]
-
-    def _sid(self, pos: np.ndarray) -> np.ndarray:
-        """The string of each of some positions in the index."""
-        return np.searchsorted(self._starts, pos, side="right") - 1
+        self._sid = np.empty(real, np.min_scalar_type(m - 1))  # the string of each suffix
+        for lo in range(0, real, CHUNK):
+            pos = self._sa[lo : lo + CHUNK]
+            self._sid[lo : lo + len(pos)] = np.searchsorted(self._starts, pos, side="right") - 1
 
     def matches(self, target: int, region: int, whole: bool) -> np.ndarray:
         """Match array of strings[target] against strings[region]."""
@@ -378,13 +382,31 @@ class Index:
             self._cache[region, whole] = kernel(target, region)
         return self._cache[region, whole]
 
-    def _whole(self, t: int, r: int) -> np.ndarray:
-        n = len(self.strings[t])
-        if t == r:
-            return np.arange(n, 0, -1, dtype=np.int32)
+    def whole_row(self, r: int) -> np.ndarray:
+        """Every string's whole-source match array against strings[r], at its place in the index.
+
+        One nearest pass, with the suffixes of strings[r] as the points and
+        all others as the queries.  The positions of strings[r] hold its
+        suffix lengths: a string matches itself whole.
+        """
+        return self._whole(None, r)
+
+    def _whole(self, t: int | None, r: int) -> np.ndarray:
+        """Match array of strings[t] against the whole of strings[r]; t None: whole_row."""
+        if self._sa is None:
+            self._build()
+        if t is None:
+            start, n = 0, self._starts[-1] + len(self.strings[-1])
+        else:
+            start, n = self._starts[t], len(self.strings[t])
         out = np.zeros(n, np.int32)
-        _nearest(out, self._sa, self._lcp, lambda s: self._sid(self._sa[s]) == r,
-                 lambda s: self._sid(self._sa[s]) == t, self._starts[t])
+        own, size = self._starts[r] - start, len(self.strings[r])
+        if 0 <= own < n:  # the region's own positions: t is r, or every string
+            out[own : own + size] = np.arange(size, 0, -1)
+        if t != r:
+            sid = self._sid
+            queries = (lambda s: sid[s] != r) if t is None else (lambda s: sid[s] == t)
+            _nearest(out, self._sa, self._lcp, lambda s: sid[s] == r, queries, start)
         return out
 
     def _aligned(self, t: int, r: int) -> np.ndarray:
@@ -400,12 +422,9 @@ class Index:
         """Row r holds the aligned matches against strings[r] at every position in the index."""
         if self._sa is None:
             self._build()
-        pos, lcp = self._sa, self._lcp
-        self._sa = self._lcp = None
+        pos, lcp, sid = self._sa, self._lcp, self._sid
+        self._sa = self._lcp = self._sid = None
         m = len(self.strings)
-        sid = np.empty(len(pos), np.min_scalar_type(m - 1))
-        for lo in range(0, len(pos), CHUNK):
-            sid[lo : lo + CHUNK] = self._sid(pos[lo : lo + CHUNK])
         longest = max(map(len, self.strings))
         width = self._starts[-1] + len(self.strings[-1])
         table = np.zeros((m, width), np.min_scalar_type(longest))
@@ -429,8 +448,7 @@ class Index:
         sid = None if own else np.empty(size, np.uint8)
         carry, kept_last, at = _INF, False, 0
         for lo in range(0, len(self._sa), CHUNK):
-            sa = self._sa[lo : lo + CHUNK]
-            ids = self._sid(sa)
+            sa, ids = self._sa[lo : lo + CHUNK], self._sid[lo : lo + CHUNK]
             is_t = ids == t
             is_r = (ids == r) & (sa < start_r + limit)
             keep = is_t if own else is_t | is_r
@@ -474,6 +492,11 @@ def _dense(target: bytes, regions: list[bytes], whole: list[bool]):
     return runs.max(axis=1), np.searchsorted(ends, runs.argmax(axis=1), side="right").astype(np.int32)
 
 
+def _fits_dense(n: int, regions) -> bool:
+    """Whether a target of length n against these regions takes the dense kernel."""
+    return (n + 1) * sum(len(s) + 1 for s in regions) <= DENSE_CELLS
+
+
 def best_matches(target: bytes, regions: list[bytes], whole: list[bool],
                  index: Index | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Longest permitted match at every target position, and the first region giving it.
@@ -482,7 +505,7 @@ def best_matches(target: bytes, regions: list[bytes], whole: list[bool],
     and every region.
     """
     n = len(target)
-    if (n + 1) * sum(len(s) + 1 for s in regions) <= DENSE_CELLS:
+    if _fits_dense(n, regions):
         return _dense(target, regions, whole)
     index = index or Index([target] + regions)
     t = index.id(target)
@@ -492,3 +515,22 @@ def best_matches(target: bytes, regions: list[bytes], whole: list[bool],
         which[match > best] = k  # only a longer match moves on from the earlier region
         best = np.maximum(best, match)
     return best, which
+
+
+def whole_matches(index: Index, r: int, targets):
+    """Yields (t, match array of strings[t] against the whole of strings[r]) for each t in targets.
+
+    A pair small enough takes the dense kernel, as in best_matches.  The
+    others are views of one index.whole_row(r), made on first need and
+    dropped with the generator.
+    """
+    source, row = index.strings[r], None
+    for t in targets:
+        target = index.strings[t]
+        if _fits_dense(len(target), [source]):
+            yield t, _dense(target, [source], [True])[0]
+            continue
+        if row is None:
+            row = index.whole_row(r)
+        start = index._starts[t]
+        yield t, row[start : start + len(target)]

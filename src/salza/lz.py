@@ -6,7 +6,7 @@ regions is emitted as a reference symbol; otherwise a single literal is
 emitted.  Which regions are permitted depends on the conditioning mode.
 
 The match lengths at every position come from salza.index; the greedy
-parse is a walk over the best of them.
+parse (walk) steps over the best of them.
 """
 
 from __future__ import annotations
@@ -158,6 +158,33 @@ class Factorization:
 _LITERALS = tuple(Symbol(length=1, literal=b) for b in range(256))
 
 
+def walk(best: np.ndarray) -> list[int]:
+    """Symbol lengths of the greedy parse over best, the longest match at each position.
+
+    A match of at least MIN_MATCH is a reference of that length; below it
+    the position is a literal, of length 1.
+    """
+    n = len(best)
+    # next position at or after each one where a reference can start
+    nxt = np.arange(n, dtype=np.int32)
+    nxt[best < MIN_MATCH] = n
+    np.minimum.accumulate(nxt[::-1], out=nxt[::-1])
+    best_v, nxt_v = memoryview(best), memoryview(nxt)
+    lengths: list[int] = []
+    t = 0
+    while t < n:
+        u = nxt_v[t]
+        if u > t:
+            lengths += [1] * (u - t)
+            t = u
+            if t == n:
+                break
+        length = best_v[t]
+        lengths.append(length)
+        t += length
+    return lengths
+
+
 def factorize(target: bytes, context: Context) -> Factorization:
     """Greedy longest-match factorization of target against the context regions.
 
@@ -173,41 +200,21 @@ def factorize(target: bytes, context: Context) -> Factorization:
     regions = [target] * own + list(context.sources)
     whole = [False] * own + [context.uses_whole_sources] * len(context.sources)
     best, which = best_matches(target, regions, whole, context.index)
-    # next position at or after each one where a reference can start
-    nxt = np.arange(n, dtype=np.int32)
-    nxt[best < MIN_MATCH] = n
-    np.minimum.accumulate(nxt[::-1], out=nxt[::-1])
-    best_v, which_v, nxt_v = memoryview(best), memoryview(which), memoryview(nxt)
-
-    # a literal is its cached Symbol; a reference is (position, length, region)
-    plan: list = []
-    lengths: list[int] = []
-    t = 0
-    while t < n:
-        u = nxt_v[t]
-        if u > t:
-            plan.extend(map(_LITERALS.__getitem__, target[t:u]))
-            lengths.extend([1] * (u - t))
-            t = u
-            if t == n:
-                break
-        length = best_v[t]
-        plan.append((t, length, which_v[t]))
-        lengths.append(length)
-        t += length
+    lengths = walk(best)
 
     def make() -> tuple[Symbol, ...]:
-        out = []
-        for item in plan:
-            if type(item) is Symbol:
-                out.append(item)
-                continue
-            t, length, k = item
-            s = regions[k]
-            avail = len(s) if whole[k] else min(t, len(s))
-            # the leftmost start of a longest match: no earlier start matches this far
-            p = s.find(target[t : t + length], 0, avail - 1 + length)
-            out.append(Symbol(length=length, source=k - own if k >= own else SELF, offset=p))
+        which_v, out, t = memoryview(which), [], 0
+        for length in lengths:
+            if length == 1:
+                out.append(_LITERALS[target[t]])
+            else:
+                k = which_v[t]
+                s = regions[k]
+                avail = len(s) if whole[k] else min(t, len(s))
+                # the leftmost start of a longest match: no earlier start matches this far
+                p = s.find(target[t : t + length], 0, avail - 1 + length)
+                out.append(Symbol(length=length, source=k - own if k >= own else SELF, offset=p))
+            t += length
         return tuple(out)
 
     return Factorization._deferred(lengths, make, n, context.mode)

@@ -28,6 +28,7 @@ from salza import (
     length_profile,
     neighbor_joining,
     nsd,
+    nsd_matrix,
     simple_complexity,
     table_function,
     threshold_function,
@@ -177,11 +178,7 @@ def test_criterion_5_markov_clustering():
                 labels.append(f"m{mi}_c{c}")
                 strings.append(generate_markov(
                     MarkovSpec(ALPHA, m, 15_000, seed=50_000 + 1000 * seed_set + 100 * mi + c)))
-        n = len(strings)
-        d = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i, j] = d[j, i] = nsd(strings[i], strings[j])
+        d = nsd_matrix(strings)
         tree = neighbor_joining(DistanceMatrix(tuple(labels), d))
         splits = unrooted_splits(tree)
         both_sides = splits | {frozenset(set(labels) - s) for s in splits}

@@ -291,8 +291,8 @@ class TestSimulate:
 
 @contextlib.contextmanager
 def _computing_fails(exc):
-    """Every nsd cell and every directed-information matrix raises exc."""
-    with mock.patch("salza.estimators.nsd", side_effect=exc), \
+    """Every NSD matrix and every directed-information matrix raises exc."""
+    with mock.patch("salza.estimators.nsd_matrix", side_effect=exc), \
             mock.patch("salza.directed.directed_info_matrix", side_effect=exc):
         yield
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracle import naive_factorize
 from salza import DagSpec, StringSet, generate_dag_processes, index
 from salza.directed import directed_info_matrix
-from salza.estimators import conditional_complexity, nsd
+from salza.estimators import conditional_complexity, nsd, nsd_matrix
 from salza.lz import Context, Mode, factorize
 
 # Module settings that force each kernel; CHUNK = 3 makes every scan carry
@@ -77,6 +77,69 @@ def test_nsd_shared_index_equals_separate_estimates():
             ab = conditional_complexity(a, Context((b,), Mode.SOURCE_ALL)).value
             ba = conditional_complexity(b, Context((a,), Mode.SOURCE_ALL)).value
             assert nsd(a, b) == max(ab, ba)
+
+
+def _nsd_corpus():
+    """Unequal lengths and one file twice; 40 x 30 bytes fit the dense kernel, 700 x 450 do not."""
+    rng = np.random.default_rng(14)
+
+    def blob(alpha, k):
+        return rng.integers(0, alpha, k, dtype=np.uint8).tobytes()
+
+    base = blob(4, 700)
+    return [base, blob(4, 450), base[:300] + blob(4, 350), blob(2, 40), bytes(base), blob(4, 30)]
+
+
+def _per_pair(a, b):
+    """nsd from the two conditional estimates, each factorized on its own."""
+    ab = conditional_complexity(a, Context((b,), Mode.SOURCE_ALL)).value
+    ba = conditional_complexity(b, Context((a,), Mode.SOURCE_ALL)).value
+    return max(ab, ba)
+
+
+@pytest.mark.parametrize("kernel", ["default", "index", "index-chunk3"])
+def test_nsd_matrix_equals_per_pair(kernel):
+    strings = _nsd_corpus()
+    small = [index._fits_dense(len(a), [b]) for a in strings for b in strings]
+    assert any(small) and not all(small)
+    with mock.patch.multiple(index, **KERNELS.get(kernel, {"DENSE_CELLS": index.DENSE_CELLS})):
+        d = nsd_matrix(strings)
+        for i, a in enumerate(strings):
+            assert d[i, i] == 0.0
+            for j, b in enumerate(strings[:i]):
+                assert d[i, j] == d[j, i] == _per_pair(a, b) == nsd(a, b), (i, j)
+    assert d[0, 4] == 0.0  # the duplicated file
+
+
+@pytest.mark.parametrize("kernel", ["default", "index-chunk3"])
+def test_nsd_matrix_warns_on_short_input(kernel):
+    strings = [b"ab"] + _nsd_corpus()[:3] + [b"ab"]  # a short file twice: positive distance
+    with mock.patch.multiple(index, **KERNELS.get(kernel, {"DENSE_CELLS": index.DENSE_CELLS})):
+        with pytest.warns(UserWarning, match="shorter than 3 bytes"):
+            d = nsd_matrix(strings)
+        for i, a in enumerate(strings):
+            for j, b in enumerate(strings[:i]):
+                assert d[i, j] == _per_pair(a, b)
+    assert d[0, 4] > 0.0
+
+
+def test_nsd_matrix_builds_one_index():
+    strings = _nsd_corpus()
+    with mock.patch.object(index, "DENSE_CELLS", 0), \
+            mock.patch.object(index.Index, "_build", autospec=True,
+                              side_effect=index.Index._build) as build, \
+            mock.patch.object(index.Index, "whole_row", autospec=True,
+                              side_effect=index.Index.whole_row) as row:
+        nsd_matrix(strings)
+    assert build.call_count == 1
+    assert row.call_count == len(set(strings))  # one nearest pass per distinct source
+
+
+def test_nsd_matrix_small_pairs_build_no_index():
+    with mock.patch.object(index.Index, "_build", autospec=True,
+                           side_effect=index.Index._build) as build:
+        nsd_matrix([b"abcabc" * 5, b"xyzabc" * 6, b"abc"])
+    assert build.call_count == 0  # every pair takes the dense kernel
 
 
 @pytest.mark.parametrize("kind, mode", [("causal", Mode.PAST_OF_BOTH), ("full", Mode.PAST_AND_SOURCES)])

@@ -26,8 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .index import Index, whole_matches
-from .lz import MIN_MATCH, Context, Mode, factorize, walk
+from .index import Index
+from .lz import MIN_MATCH, Context, Mode, factorize
 
 
 @dataclass(frozen=True)
@@ -148,16 +148,11 @@ def conditional_complexity(x: bytes, context: Context, f: AdmissibleFunction | N
     f defaults to the sigmoid; a cutoff of None becomes the context's
     meaningful cutoff.
     """
-    return _estimate(x, context, factorize(x, context).lengths, f)
-
-
-def _estimate(x: bytes, context: Context, lengths: Sequence[int],
-              f: AdmissibleFunction | None) -> Estimate:
-    """conditional_complexity from the symbol lengths of x's factorization against context."""
     f = AdmissibleFunction() if f is None else f
     if f.kind != "table" and f.l0 is None:
         f = AdmissibleFunction(f.kind, meaningful_cutoff(x, context))
-    return estimate_from_lengths(lengths, len(x), f)
+    fact = factorize(x, context)
+    return estimate_from_lengths(fact.lengths, len(x), f)
 
 
 def simple_complexity(x: bytes, f: AdmissibleFunction | None = None) -> Estimate:
@@ -190,39 +185,38 @@ def nsd(x: bytes, y: bytes, f: AdmissibleFunction | None = None) -> float:
     The triangle inequality does not hold in general.  This is the
     two-string case of nsd_matrix.
     """
-    return float(nsd_matrix((x, y), f)[0, 1])
+    return float(_nsd_matrix((bytes(x), bytes(y)), f)[0, 1])
 
 
 def nsd_matrix(strings: Sequence[bytes], f: AdmissibleFunction | None = None) -> np.ndarray:
     """The nsd of every two of strings, as a symmetric matrix with a zero diagonal.
 
-    One Index over the strings serves every cell.  For each distinct string
-    r, one nearest pass gives the whole-source match array against r of
-    every other string (Index.whole_row); each is walked and estimated, and
-    the row is dropped before the next r.  Equal strings share an index
-    entry, and a pair small enough for the dense kernel takes it instead.
+    One Index over the strings serves every cell.  The cells are estimated
+    one source r at a time, so that the index answers all of r's targets
+    from one nearest pass (see Index).  Equal strings share an index entry,
+    and a pair small enough for the dense kernel takes it instead.
     """
-    strings = [bytes(s) for s in strings]
-    m = len(strings)
+    return _nsd_matrix([bytes(s) for s in strings], f)
+
+
+def _nsd_matrix(strings: Sequence[bytes], f: AdmissibleFunction | None) -> np.ndarray:
     if not all(strings):
         raise ValueError("empty input")
-    if m > 1 and min(map(len, strings)) < MIN_MATCH:
+    if len(strings) > 1 and min(map(len, strings)) < MIN_MATCH:
         warnings.warn(
             "strings shorter than 3 bytes can never be matched; "
             "the distance is positive even for equal inputs",
-            stacklevel=2,
+            stacklevel=3,  # the caller of nsd or nsd_matrix
         )
     index = Index(strings)
     ids = np.array([index.id(s) for s in strings], dtype=np.intp)
-    k = len(index.strings)
-    copies = np.bincount(ids, minlength=k)
-    est = np.zeros((k, k))  # est[t, r]: distinct string t given distinct string r
+    copies = np.bincount(ids, minlength=len(index.strings))
+    est = np.zeros((len(index.strings),) * 2)  # est[t, r]: distinct string t given distinct string r
     for r, source in enumerate(index.strings):
-        context = Context((source,), Mode.SOURCE_ALL)
-        targets = [t for t in range(k) if t != r or copies[r] > 1]
-        for t, best in whole_matches(index, r, targets):
-            est[t, r] = _estimate(index.strings[t], context, walk(best), f).value
-            del best  # the row goes with its last view, before the next one is made
+        context = Context((source,), Mode.SOURCE_ALL, index)
+        for t, target in enumerate(index.strings):
+            if t != r or copies[r] > 1:
+                est[t, r] = conditional_complexity(target, context, f).value
     cells = est[np.ix_(ids, ids)]
     d = np.maximum(cells, cells.T)
     np.fill_diagonal(d, 0.0)

@@ -321,9 +321,11 @@ class Index:
     arrays of the last target asked for are cached, so that the terms of one
     target share them.
 
-    whole_row(r) gives the whole-source match arrays of every string against
-    strings[r] from one nearest pass, 4 bytes per indexed byte; nsd_matrix
-    takes one row per source, so that one index serves a whole corpus.
+    Whole-source matches against strings[r] come from one nearest pass that
+    gives every string's match array against r at once: a row of 4 bytes per
+    indexed byte.  The last row is kept, so that asking for each target
+    against one source in turn (as nsd_matrix does) makes one pass per
+    source; one index then serves a whole corpus.
 
     With all_pairs, the aligned match arrays of every ordered pair come from
     one sweep over the whole index on first use.  The sweep takes over the
@@ -341,6 +343,7 @@ class Index:
         self._sa = self._table = None
         self._all_pairs = all_pairs
         self._target, self._cache = None, {}
+        self._row_of = self._row = None
 
     def id(self, s: bytes) -> int:
         try:
@@ -382,31 +385,26 @@ class Index:
             self._cache[region, whole] = kernel(target, region)
         return self._cache[region, whole]
 
-    def whole_row(self, r: int) -> np.ndarray:
-        """Every string's whole-source match array against strings[r], at its place in the index.
+    def _whole(self, t: int, r: int) -> np.ndarray:
+        """Match array of strings[t] against the whole of strings[r], cut from the row of r."""
+        if self._row_of != r:
+            self._row = None  # one row at a time
+            self._row, self._row_of = self._whole_row(r), r
+        start = self._starts[t]
+        return self._row[start : start + len(self.strings[t])].copy()
+
+    def _whole_row(self, r: int) -> np.ndarray:
+        """Every string's match array against the whole of strings[r], at its place in the index.
 
         One nearest pass, with the suffixes of strings[r] as the points and
         all others as the queries.  The positions of strings[r] hold its
         suffix lengths: a string matches itself whole.
         """
-        return self._whole(None, r)
-
-    def _whole(self, t: int | None, r: int) -> np.ndarray:
-        """Match array of strings[t] against the whole of strings[r]; t None: whole_row."""
-        if self._sa is None:
-            self._build()
-        if t is None:
-            start, n = 0, self._starts[-1] + len(self.strings[-1])
-        else:
-            start, n = self._starts[t], len(self.strings[t])
-        out = np.zeros(n, np.int32)
-        own, size = self._starts[r] - start, len(self.strings[r])
-        if 0 <= own < n:  # the region's own positions: t is r, or every string
-            out[own : own + size] = np.arange(size, 0, -1)
-        if t != r:
-            sid = self._sid
-            queries = (lambda s: sid[s] != r) if t is None else (lambda s: sid[s] == t)
-            _nearest(out, self._sa, self._lcp, lambda s: sid[s] == r, queries, start)
+        size = len(self.strings[r])
+        out = np.zeros(self._starts[-1] + len(self.strings[-1]), np.int32)
+        out[self._starts[r] : self._starts[r] + size] = np.arange(size, 0, -1)
+        sid = self._sid
+        _nearest(out, self._sa, self._lcp, lambda s: sid[s] == r, lambda s: sid[s] != r)
         return out
 
     def _aligned(self, t: int, r: int) -> np.ndarray:
@@ -492,11 +490,6 @@ def _dense(target: bytes, regions: list[bytes], whole: list[bool]):
     return runs.max(axis=1), np.searchsorted(ends, runs.argmax(axis=1), side="right").astype(np.int32)
 
 
-def _fits_dense(n: int, regions) -> bool:
-    """Whether a target of length n against these regions takes the dense kernel."""
-    return (n + 1) * sum(len(s) + 1 for s in regions) <= DENSE_CELLS
-
-
 def best_matches(target: bytes, regions: list[bytes], whole: list[bool],
                  index: Index | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Longest permitted match at every target position, and the first region giving it.
@@ -505,7 +498,7 @@ def best_matches(target: bytes, regions: list[bytes], whole: list[bool],
     and every region.
     """
     n = len(target)
-    if _fits_dense(n, regions):
+    if (n + 1) * sum(len(s) + 1 for s in regions) <= DENSE_CELLS:
         return _dense(target, regions, whole)
     index = index or Index([target] + regions)
     t = index.id(target)
@@ -515,22 +508,3 @@ def best_matches(target: bytes, regions: list[bytes], whole: list[bool],
         which[match > best] = k  # only a longer match moves on from the earlier region
         best = np.maximum(best, match)
     return best, which
-
-
-def whole_matches(index: Index, r: int, targets):
-    """Yields (t, match array of strings[t] against the whole of strings[r]) for each t in targets.
-
-    A pair small enough takes the dense kernel, as in best_matches.  The
-    others are views of one index.whole_row(r), made on first need and
-    dropped with the generator.
-    """
-    source, row = index.strings[r], None
-    for t in targets:
-        target = index.strings[t]
-        if _fits_dense(len(target), [source]):
-            yield t, _dense(target, [source], [True])[0]
-            continue
-        if row is None:
-            row = index.whole_row(r)
-        start = index._starts[t]
-        yield t, row[start : start + len(target)]

@@ -100,7 +100,7 @@ def _per_pair(a, b):
 @pytest.mark.parametrize("kernel", ["default", "index", "index-chunk3"])
 def test_nsd_matrix_equals_per_pair(kernel):
     strings = _nsd_corpus()
-    small = [index._fits_dense(len(a), [b]) for a in strings for b in strings]
+    small = [(len(a) + 1) * (len(b) + 1) <= index.DENSE_CELLS for a in strings for b in strings]
     assert any(small) and not all(small)
     with mock.patch.multiple(index, **KERNELS.get(kernel, {"DENSE_CELLS": index.DENSE_CELLS})):
         d = nsd_matrix(strings)
@@ -123,13 +123,20 @@ def test_nsd_matrix_warns_on_short_input(kernel):
     assert d[0, 4] > 0.0
 
 
+def test_short_input_warning_points_at_the_caller():
+    for call in (lambda: nsd(b"ab", b"abcd"), lambda: nsd_matrix([b"ab", b"abcd"])):
+        with pytest.warns(UserWarning, match="shorter than 3 bytes") as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__]
+
+
 def test_nsd_matrix_builds_one_index():
     strings = _nsd_corpus()
     with mock.patch.object(index, "DENSE_CELLS", 0), \
             mock.patch.object(index.Index, "_build", autospec=True,
                               side_effect=index.Index._build) as build, \
-            mock.patch.object(index.Index, "whole_row", autospec=True,
-                              side_effect=index.Index.whole_row) as row:
+            mock.patch.object(index.Index, "_whole_row", autospec=True,
+                              side_effect=index.Index._whole_row) as row:
         nsd_matrix(strings)
     assert build.call_count == 1
     assert row.call_count == len(set(strings))  # one nearest pass per distinct source

@@ -391,6 +391,7 @@ class Index:
             self._row = None  # one row at a time
             self._row, self._row_of = self._whole_row(r), r
         start = self._starts[t]
+        # a copy: the target's cache may outlive the row
         return self._row[start : start + len(self.strings[t])].copy()
 
     def _whole_row(self, r: int) -> np.ndarray:

@@ -106,10 +106,13 @@ def directed_info_matrix(
 
     One index over the set serves every term: the match arrays of target
     j are computed once and shared by the n terms of column j, including
-    the subtrahend (j conditioned on everything but itself).  The causal
-    kind, which needs the aligned arrays of every ordered pair, takes them
-    all from one sweep over the index.  `threads` is accepted for
-    compatibility; the columns are computed serially.
+    the subtrahend (j conditioned on everything but itself).  A causal
+    term parses j against the aligned pasts of all strings but at most
+    one, so one sweep over the index, with one nearest pass per position
+    bit for all strings together, serves every term: at each position it
+    keeps the longest match, the string giving it and the longest from
+    any other string.  `threads` is accepted for compatibility; the
+    columns are computed serially.
     """
     if kind not in _KIND_MODES:
         raise ValueError(f"unknown kind: {kind}")

@@ -49,36 +49,82 @@ def _after(mask: np.ndarray, first: bool = False) -> np.ndarray:
     return np.concatenate(([first], mask[:-1]))
 
 
-def _nearest(out, pos, lcp, points, queries, base: int = 0) -> None:
-    """Raise out[pos[q] - base] to each query's longest match with any point.
+def _scan(size: int, lcp, points, down: bool):
+    """Each element's match with its nearest point on one side, chunk by chunk.
 
     The sequence is in suffix-array order and lcp[i] is the common prefix
     of elements i - 1 and i (0 where a block begins; one more 0 ends it),
-    so the best point is the nearest one on either side, and the match is
-    the running minimum of lcp between them.  points and queries map a
-    slice of the sequence to its marks.
+    so an element's match with the nearest point on a side is the running
+    minimum of lcp between them.  Yields per chunk, in scan order (up the
+    sequence, or down it): the chunk's slice of the sequence; the slice that
+    puts an array of the chunk in scan order; and, in scan order, the
+    chunk's points and w, each element's match with the nearest point
+    before it in scan order (0 if its block has none).  points maps a slice
+    of the sequence to its marks.
     """
-    size = len(pos)
-    carry, restart = _INF, False
-    for lo in range(0, size, CHUNK):
-        hi = min(lo + CHUNK, size)
-        here = points(slice(lo, hi))
-        w = _segmin(lcp[lo:hi], _after(here, restart), carry)
-        q = queries(slice(lo, hi))
-        sel = pos[lo:hi][q] - base
-        out[sel] = np.maximum(out[sel], w[q])
-        carry, restart = int(w[-1]), bool(here[-1])
-    carry = _INF  # going down, element i meets element i + 1 through lcp[i + 1]
-    for hi in range(size, 0, -CHUNK):
+    carry = _INF
+    if not down:
+        restart = False
+        for lo in range(0, size, CHUNK):
+            hi = min(lo + CHUNK, size)
+            here = points(slice(lo, hi))
+            w = _segmin(lcp[lo:hi], _after(here, restart), carry)
+            yield slice(lo, hi), slice(None), here, w
+            carry, restart = int(w[-1]), bool(here[-1])
+        return
+    for hi in range(size, 0, -CHUNK):  # going down, element i meets element i + 1 through lcp[i + 1]
         lo = max(hi - CHUNK, 0)
-        after = points(slice(lo + 1, hi + 1))
+        marks = points(slice(lo, hi + 1))
         if hi == size:
-            after = np.append(after, False)
-        w = _segmin(lcp[lo + 1 : hi + 1][::-1], after[::-1], carry)[::-1]
-        q = queries(slice(lo, hi))
-        sel = pos[lo:hi][q] - base
-        out[sel] = np.maximum(out[sel], w[q])
-        carry = int(w[0])
+            marks = np.append(marks, False)
+        w = _segmin(lcp[lo + 1 : hi + 1][::-1], marks[:0:-1], carry)
+        yield slice(lo, hi), slice(None, None, -1), marks[-2::-1], w
+        carry = int(w[-1])
+
+
+def _nearest(out, pos, lcp, points, queries) -> None:
+    """Raise out[pos[q]] to each query's longest match with any point: the nearest on either side."""
+    for down in (False, True):
+        for s, order, _, w in _scan(len(pos), lcp, points, down):
+            q = queries(s)[order]
+            at = pos[s][order][q]
+            out[at] = np.maximum(out[at], w[q])
+
+
+def _nearest_regions(best, pos, lcp, sid, points, queries) -> None:
+    """Merge into best, at pos[q], each query's longest match with the points, by string.
+
+    best is three arrays: v1, the longest match with any string's points;
+    r1, a string giving it; v2, the longest with any other string's.  On
+    one side, v1 is the match with the nearest point and r1 its string.
+    The nearest point of another string lies just before the run of r1's
+    points that ends at the nearest one, so v2 is the smaller of v1 and h
+    at the nearest point: the running minimum of w over the points alone,
+    restarting at each point whose string differs from the previous one's.
+    """
+    for down in (False, True):
+        last_r, last_h = 0, 0  # before any point: no match
+        for s, order, here, w in _scan(len(pos), lcp, points, down):
+            r = np.concatenate(([last_r], sid[s][order][here]))
+            h = np.concatenate(([last_h], w[here]))
+            h = _segmin(h, np.concatenate(([False], r[1:] != r[:-1])), _INF)
+            last_r, last_h = int(r[-1]), int(h[-1])
+            q = queries(s)[order]
+            k = np.cumsum(here)[q]  # the nearest point, in r and h (0: one in an earlier chunk)
+            a1 = w[q]
+            _merge(best, pos[s][order][q], a1, r[k], np.minimum(h[k], a1))
+
+
+def _merge(best, at, a1, ra, a2) -> None:
+    """Merge the triple (a1, ra, a2) into best at positions at; both read as in _nearest_regions."""
+    v1, r1, v2 = best
+    b1, rb, b2 = v1[at], r1[at], v2[at]
+    # besides both v2, the loser's v1 counts if its string is not the winner's
+    lose = np.minimum(a1, b1)
+    lose[ra == rb] = 0
+    v2[at] = np.maximum(np.maximum(a2, b2), lose)
+    v1[at] = np.maximum(a1, b1)
+    r1[at] = np.where(a1 > b1, ra, rb)
 
 
 def _child_lcp(lcp: np.ndarray, bit: np.ndarray) -> None:
@@ -103,31 +149,27 @@ def _local(pos, sid, starts, s=slice(None)):
     return pos[s] if starts is None else pos[s] - starts[sid[s]]
 
 
-def _levels(rows, pos, lcp, sid, starts, b: int, target=None) -> None:
-    """Match each query with the points at smaller positions, in a sequence one block above bit b.
+def _levels(visit, pos, lcp, sid, starts, b: int) -> None:
+    """Run visit at every level of a sequence one block above bit b, from the top.
 
     The sequence holds suffixes in suffix-array order: pos their positions,
     in the index if starts is given or else in their strings, and sid their
-    strings (None: all of one string), which begin at starts[sid].  rows[r]
-    receives at pos[q], for each query q (a suffix of string target; any if
-    target is None), its longest match with the points: the suffixes of
-    string r at a smaller position in their string.  Such a pair p < q
-    first differs in one bit, where p has 0 and q has 1.  Going down from
-    the top bit b, the elements stay in blocks of equal position >> (b + 1),
-    each in suffix-array order, and the points with bit b clear meet the
-    queries with bit b set.  A child block's lcp is the running minimum over
-    its parent's.  A large block is split in place, so that its halves are
-    views; smaller ones are reordered together.  The arrays are overwritten.
+    strings (None: all of one string), which begin at starts[sid].  A pair
+    p < q of positions first differs in one bit, where p has 0 and q has 1.
+    Going down from the top bit b, the elements stay in blocks of equal
+    position >> (b + 1), each in suffix-array order, and at bit b
+    visit(pos, lcp, sid, low, bit) matches the points, with bit b clear
+    (low), with the queries, with it set (bit): a nearest pass there finds
+    each query's longest match with the suffixes at a smaller position.  A
+    child block's lcp is the running minimum over its parent's.  A large
+    block is split in place, so that its halves are views; smaller ones are
+    reordered together.  The arrays are overwritten.
     """
     while True:
         bit = np.concatenate([_local(pos, sid, starts, slice(lo, lo + CHUNK)) >> b & 1 == 1
                               for lo in range(0, len(pos), CHUNK)])
         low = ~bit
-        queries = bit if target is None else bit & (sid == target)
-        for r, out in rows.items():
-            points = low if sid is None else low & (sid == r)
-            _nearest(out, pos, lcp, points.__getitem__, queries.__getitem__)
-        del queries, points
+        visit(pos, lcp, sid, low, bit)
         if b == 0:
             return
         _child_lcp(lcp, bit)
@@ -143,8 +185,8 @@ def _levels(rows, pos, lcp, sid, starts, b: int, target=None) -> None:
             del bit, low, tail
             for lo, hi in ((0, zeros), (zeros, len(pos))):
                 if hi > lo:
-                    _levels(rows, pos[lo:hi], lcp[lo : hi + 1], None if sid is None else sid[lo:hi],
-                            starts, b, target)
+                    _levels(visit, pos[lo:hi], lcp[lo : hi + 1], None if sid is None else sid[lo:hi],
+                            starts, b)
             return
         order = np.argsort(_local(pos, sid, starts) >> (b + 1), kind="stable")
         for a in arrays:
@@ -327,11 +369,13 @@ class Index:
     against one source in turn (as nsd_matrix does) makes one pass per
     source; one index then serves a whole corpus.
 
-    With all_pairs, the aligned match arrays of every ordered pair come from
-    one sweep over the whole index on first use.  The sweep takes over the
-    index's arrays (a later whole-source request builds them again); its
-    table keeps m entries per indexed byte, for m strings, of the smallest
-    unsigned type that holds the longest string.
+    With all_pairs, a target's longest aligned match over the pasts of all
+    strings but at most one (best_aligned) comes from one sweep over the
+    whole index on first use, with one nearest pass per bit for all strings
+    together.  It keeps three entries per indexed byte: the longest match
+    over all strings, a string giving it and the longest over the others.
+    The sweep takes over the index's arrays (a later request for a match
+    array builds them again).
     """
 
     def __init__(self, strings, all_pairs: bool = False):
@@ -340,7 +384,7 @@ class Index:
             self._ids.setdefault(bytes(s), len(self._ids))
         self.strings = tuple(self._ids)
         self._starts = np.cumsum([0] + [len(s) + 1 for s in self.strings[:-1]])
-        self._sa = self._table = None
+        self._sa = self._best = None
         self._all_pairs = all_pairs
         self._target, self._cache = None, {}
         self._row_of = self._row = None
@@ -371,11 +415,6 @@ class Index:
 
     def matches(self, target: int, region: int, whole: bool) -> np.ndarray:
         """Match array of strings[target] against strings[region]."""
-        if self._all_pairs and not whole:
-            if self._table is None:
-                self._table = self._aligned_table()
-            start = self._starts[target]
-            return self._table[region, start : start + len(self.strings[target])]
         if self._sa is None:
             self._build()
         if self._target != target:
@@ -412,26 +451,43 @@ class Index:
         n = len(self.strings[t])
         out = np.zeros(n, np.int32)
         if n > 1:
+            def visit(pos, lcp, sid, low, bit):
+                if sid is not None:  # points in the region (1), queries in the target (0)
+                    low, bit = low & (sid == 1), bit & (sid == 0)
+                _nearest(out, pos, lcp, low.__getitem__, bit.__getitem__)
+
             pos, lcp, sid = self._gather(t, r, n - 1)
-            b = (n - 1).bit_length() - 1
-            _levels({1: out}, pos, lcp, sid, None, b, target=None if t == r else 0)
+            _levels(visit, pos, lcp, sid, None, (n - 1).bit_length() - 1)
         return out
 
-    def _aligned_table(self) -> np.ndarray:
-        """Row r holds the aligned matches against strings[r] at every position in the index."""
+    def best_aligned(self, target: int, left_out: int | None = None) -> np.ndarray:
+        """Longest match of strings[target] with the past of every string but strings[left_out].
+
+        The past of strings[target] is its own; left_out None leaves none out.
+        """
+        if self._best is None:
+            self._best = self._sweep()
+        v1, r1, v2 = self._best
+        at = slice(self._starts[target], self._starts[target] + len(self.strings[target]))
+        return v1[at] if left_out is None else np.where(r1[at] == left_out, v2[at], v1[at])
+
+    def _sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For every position in the index, best_aligned's three arrays (see the class)."""
         if self._sa is None:
             self._build()
         pos, lcp, sid = self._sa, self._lcp, self._sid
         self._sa = self._lcp = self._sid = None
-        m = len(self.strings)
         longest = max(map(len, self.strings))
         width = self._starts[-1] + len(self.strings[-1])
-        table = np.zeros((m, width), np.min_scalar_type(longest))
+        v1 = np.zeros(width, np.min_scalar_type(longest))
+        v2, r1 = np.zeros_like(v1), np.zeros(width, np.min_scalar_type(len(self.strings) - 1))
         if longest > 1:
-            b = (longest - 1).bit_length() - 1
-            _levels(dict(enumerate(table)), pos, lcp, sid, self._starts, b)
-        table.flags.writeable = False  # matches hands out views of it
-        return table
+            def visit(pos, lcp, sid, low, bit):
+                _nearest_regions((v1, r1, v2), pos, lcp, sid, low.__getitem__, bit.__getitem__)
+
+            _levels(visit, pos, lcp, sid, self._starts, (longest - 1).bit_length() - 1)
+        v1.flags.writeable = False  # best_aligned hands out views of it
+        return v1, r1, v2
 
     def _gather(self, t: int, r: int, limit: int):
         """Suffixes of the target and those of the region starting before limit.
@@ -491,20 +547,33 @@ def _dense(target: bytes, regions: list[bytes], whole: list[bool]):
     return runs.max(axis=1), np.searchsorted(ends, runs.argmax(axis=1), side="right").astype(np.int32)
 
 
-def best_matches(target: bytes, regions: list[bytes], whole: list[bool],
-                 index: Index | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Longest permitted match at every target position, and the first region giving it.
+def best_matches(target: bytes, regions: list[bytes], whole: list[bool], index: Index | None = None):
+    """Longest permitted match at every target position, and a function giving the first region with it.
 
     regions are in tie-break order; index, if given, must hold the target
-    and every region.
+    and every region.  An all_pairs index serves the aligned pasts of all
+    its strings but at most one from its sweep; the first regions, read
+    only for the symbols' sources, then come from the per-pair arrays.
     """
     n = len(target)
     if (n + 1) * sum(len(s) + 1 for s in regions) <= DENSE_CELLS:
-        return _dense(target, regions, whole)
+        best, which = _dense(target, regions, whole)
+        return best, lambda: which
     index = index or Index([target] + regions)
     t = index.id(target)
-    matches = [index.matches(t, index.id(s), w) for s, w in zip(regions, whole)]
-    best, which = matches[0], np.zeros(n, np.min_scalar_type(len(regions)))
+    ids = [index.id(s) for s in regions]
+    if index._all_pairs and not any(whole):
+        left_out = set(range(len(index.strings))).difference(ids)
+        if len(left_out) <= 1:
+            return index.best_aligned(t, *left_out), lambda: _first_best(index, t, ids, whole)[1]
+    best, which = _first_best(index, t, ids, whole)
+    return best, lambda: which
+
+
+def _first_best(index: Index, t: int, ids: list[int], whole: list[bool]):
+    """best_matches from the match array of each region in turn."""
+    matches = [index.matches(t, r, w) for r, w in zip(ids, whole)]
+    best, which = matches[0], np.zeros(len(matches[0]), np.min_scalar_type(len(ids)))
     for k, match in enumerate(matches[1:], 1):
         which[match > best] = k  # only a longer match moves on from the earlier region
         best = np.maximum(best, match)

@@ -203,7 +203,7 @@ def factorize(target: bytes, context: Context) -> Factorization:
     lengths = walk(best)
 
     def make() -> tuple[Symbol, ...]:
-        which_v, out, t = memoryview(which), [], 0
+        which_v, out, t = memoryview(which()), [], 0
         for length in lengths:
             if length == 1:
                 out.append(_LITERALS[target[t]])

@@ -1,5 +1,6 @@
 """The match-array kernels against the naive oracle, and one index shared across cells."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -266,22 +267,26 @@ def _string_sets(rng, big):
 
 
 @pytest.mark.parametrize("chunk", [index.CHUNK, 3])
-def test_all_pairs_table_equals_per_pair_arrays(chunk):
+def test_all_pairs_sweep_equals_per_pair_arrays(chunk):
     rng = np.random.default_rng(12)
     sets = _string_sets(rng, big=False) + (_string_sets(rng, big=True) if chunk == index.CHUNK else [])
     with mock.patch.object(index, "CHUNK", chunk):
         for strings in sets:
-            table, pairs = index.Index(strings, all_pairs=True), index.Index(strings)
-            assert len(table.strings) < len(strings)
-            for t, target in enumerate(table.strings):
-                for r, region in enumerate(table.strings):
-                    got = table.matches(t, r, whole=False)
-                    assert got.tolist() == pairs.matches(t, r, whole=False).tolist(), (strings, t, r)
-                    if len(target) < 100:
-                        assert got.tolist() == _naive_aligned(target, region)
-            # the sweep took over the index's arrays; a whole-source request builds them again
-            last = len(table.strings) - 1
-            assert table.matches(0, last, True).tolist() == pairs.matches(0, last, True).tolist()
+            sweep, pairs = index.Index(strings, all_pairs=True), index.Index(strings)
+            m = len(sweep.strings)
+            assert m < len(strings)
+            for t, target in enumerate(sweep.strings):
+                per_pair = [pairs.matches(t, r, whole=False).tolist() for r in range(m)]
+                if len(target) < 100:
+                    assert per_pair == [_naive_aligned(target, region) for region in sweep.strings]
+                for left_out in [None, *range(m)]:
+                    rest = [a for r, a in enumerate(per_pair) if r != left_out]
+                    want = np.max(rest, axis=0).tolist() if rest else [0] * len(target)
+                    assert sweep.best_aligned(t, left_out).tolist() == want, (strings, t, left_out)
+            # the sweep took over the index's arrays; a later request builds them again
+            last = m - 1
+            for whole in (False, True):
+                assert sweep.matches(0, last, whole).tolist() == pairs.matches(0, last, whole).tolist()
 
 
 def _unequal_dag_strings():
@@ -310,10 +315,76 @@ def test_causal_matrix_on_unequal_lengths_equals_terms():
 def test_causal_matrix_takes_one_sweep(kind, sweeps, pair_runs):
     X = StringSet(("a", "b", "c", "d"), tuple(_unequal_dag_strings()))
     with mock.patch.object(index, "DENSE_CELLS", 0), \
-            mock.patch.object(index.Index, "_aligned_table", autospec=True,
-                              side_effect=index.Index._aligned_table) as table, \
+            mock.patch.object(index.Index, "_sweep", autospec=True,
+                              side_effect=index.Index._sweep) as sweep, \
             mock.patch.object(index.Index, "_aligned", autospec=True,
                               side_effect=index.Index._aligned) as pair:
         directed_info_matrix(X, kind=kind)
-    assert table.call_count == sweeps
+    assert sweep.call_count == sweeps
     assert pair.call_count == pair_runs  # the full kind: each target's own past, once
+
+
+def _tied_sources(duplicates):
+    """A target whose planted block two sources hold at earlier positions, so that they tie for it.
+
+    With duplicates, the set also holds a copy of a source and one of the target.
+    """
+    rng = np.random.default_rng(15)
+
+    def blob(k):
+        return rng.integers(0, 4, k, dtype=np.uint8).tobytes()
+
+    block = blob(90)
+    target = blob(300) + block + blob(110)
+    a, b = blob(60) + block + blob(350), blob(150) + block + blob(160)
+    strings = [target, a, b, blob(500)]
+    return strings + [a, target] if duplicates else strings
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_causal_matrix_with_tied_and_equal_sources_equals_terms(duplicates):
+    strings = _tied_sources(duplicates)
+    n = len(strings)
+    X = StringSet(tuple(map(str, range(n))), tuple(strings))
+
+    def context(j, skip, idx=None):
+        others = tuple(s for k, s in enumerate(strings) if k not in (j, skip))
+        return Context(others, Mode.PAST_OF_BOTH, idx)
+
+    with mock.patch.object(index, "DENSE_CELLS", 0):
+        got = directed_info_matrix(X, kind="causal").values
+        for j in range(n):
+            base = conditional_complexity(strings[j], context(j, None)).value
+            for i in range(n):
+                want = conditional_complexity(strings[j], context(j, i)).value - base if i != j else 0.0
+                assert got[i, j] == want, (i, j)
+        pairs = index.Index(strings)
+        a, b = pairs.matches(0, 1, whole=False), pairs.matches(0, 2, whole=False)
+        assert np.any((a == b) & (a > 80))  # the tie
+        # a term the sweep serves, down to its symbols' sources and offsets
+        idx = index.Index(strings, all_pairs=True)
+        with mock.patch.object(index.Index, "_sweep", autospec=True, side_effect=index.Index._sweep) as sweep:
+            f = factorize(strings[0], context(0, 1, idx))
+        assert sweep.call_count == 1
+        assert f == naive_factorize(strings[0], context(0, 1))
+        # with two strings left out, the per-pair arrays serve it
+        alone = (strings[3],)
+        assert factorize(strings[0], Context(alone, Mode.PAST_OF_BOTH, idx)) == \
+            naive_factorize(strings[0], Context(alone, Mode.PAST_OF_BOTH))
+
+
+def test_causal_matrix_memory_grows_with_bytes_not_strings():
+    """The sweep keeps a few entries per indexed byte, however many strings share them."""
+    def peak_per_byte(m, length=1000):
+        rng = np.random.default_rng(m)
+        X = StringSet(tuple(map(str, range(m))),
+                      tuple(rng.integers(0, 4, length, dtype=np.uint8).tobytes() for _ in range(m)))
+        tracemalloc.start()
+        try:
+            directed_info_matrix(X, kind="causal")
+            return tracemalloc.get_traced_memory()[1] / (m * length)
+        finally:
+            tracemalloc.stop()
+
+    with mock.patch.object(index, "CHUNK", 1024):  # chunk temporaries would hide the arrays per byte
+        assert peak_per_byte(24) <= 1.25 * peak_per_byte(6)

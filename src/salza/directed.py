@@ -100,7 +100,6 @@ def directed_info_matrix(
     kind: str = "causal",
     f: AdmissibleFunction | None = None,
     threshold: float = DEFAULT_THRESHOLD,
-    threads: int | None = None,
 ) -> DirectedInfoMatrix:
     """All ordered-pair influence values.
 
@@ -111,8 +110,7 @@ def directed_info_matrix(
     one, so one sweep over the index, with one nearest pass per position
     bit for all strings together, serves every term: at each position it
     keeps the longest match, the string giving it and the longest from
-    any other string.  `threads` is accepted for compatibility; the
-    columns are computed serially.
+    any other string.
     """
     if kind not in _KIND_MODES:
         raise ValueError(f"unknown kind: {kind}")

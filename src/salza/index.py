@@ -6,9 +6,16 @@ anywhere in it ("whole"), or before the target position ("aligned"; the
 target's own past when the region is the target).  A generalized suffix
 array with its LCP array gives them in O(N log N) vectorized work; inputs
 too small to pay for it take a dense kernel instead.
+
+Every kernel over the suffix array rests on one scan, _since: each
+element's match with the last marked element before it, the running
+minimum of the LCP since the mark, carried across CHUNK-sized pieces.  The
+scan down the sequence is the same scan up its reversed views.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -44,50 +51,42 @@ def _segmin(values: np.ndarray, starts: np.ndarray, carry: int) -> np.ndarray:
     return w
 
 
-def _after(mask: np.ndarray, first: bool = False) -> np.ndarray:
-    """Marks the element after every marked one, and the first if asked."""
-    return np.concatenate(([first], mask[:-1]))
+def _since(lcp: np.ndarray, marks: np.ndarray):
+    """Each element's match with the last marked element before it, chunk by chunk.
 
-
-def _scan(size: int, lcp, points, down: bool):
-    """Each element's match with its nearest point on one side, chunk by chunk.
-
-    The sequence is in suffix-array order and lcp[i] is the common prefix
-    of elements i - 1 and i (0 where a block begins; one more 0 ends it),
-    so an element's match with the nearest point on a side is the running
-    minimum of lcp between them.  Yields per chunk, in scan order (up the
-    sequence, or down it): the chunk's slice of the sequence; the slice that
-    puts an array of the chunk in scan order; and, in scan order, the
-    chunk's points and w, each element's match with the nearest point
-    before it in scan order (0 if its block has none).  points maps a slice
-    of the sequence to its marks.
+    In suffix-array order, with lcp[i] the common prefix of elements i - 1
+    and i (0 where a block begins), that match is the running minimum of
+    lcp from the element after the mark on: 0 if the block has no mark
+    before the element.  Yields each chunk's slice and its elements'
+    matches.  On reversed views, where lcp[::-1][k] still joins reversed
+    element k to the one before it and lcp's final 0 begins the first
+    block, it gives the match with the first mark after each element.
     """
-    carry = _INF
-    if not down:
-        restart = False
-        for lo in range(0, size, CHUNK):
-            hi = min(lo + CHUNK, size)
-            here = points(slice(lo, hi))
-            w = _segmin(lcp[lo:hi], _after(here, restart), carry)
-            yield slice(lo, hi), slice(None), here, w
-            carry, restart = int(w[-1]), bool(here[-1])
-        return
-    for hi in range(size, 0, -CHUNK):  # going down, element i meets element i + 1 through lcp[i + 1]
-        lo = max(hi - CHUNK, 0)
-        marks = points(slice(lo, hi + 1))
-        if hi == size:
-            marks = np.append(marks, False)
-        w = _segmin(lcp[lo + 1 : hi + 1][::-1], marks[:0:-1], carry)
-        yield slice(lo, hi), slice(None, None, -1), marks[-2::-1], w
-        carry = int(w[-1])
+    carry, after = _INF, False
+    for lo in range(0, len(marks), CHUNK):
+        s = slice(lo, min(lo + CHUNK, len(marks)))
+        here = marks[s]
+        w = _segmin(lcp[s], np.concatenate(([after], here[:-1])), carry)
+        yield s, w
+        carry, after = int(w[-1]), bool(here[-1])
+
+
+def _sides(*arrays):
+    """The arrays, then their reversed views: a pass down a sequence is a pass up its reversal."""
+    return arrays, tuple(a[::-1] for a in arrays)
 
 
 def _nearest(out, pos, lcp, points, queries) -> None:
-    """Raise out[pos[q]] to each query's longest match with any point: the nearest on either side."""
-    for down in (False, True):
-        for s, order, _, w in _scan(len(pos), lcp, points, down):
-            q = queries(s)[order]
-            at = pos[s][order][q]
+    """Raise out[pos[q]] to each query's longest match with any point: the nearest on either side.
+
+    points and queries are masks over the sequence.  The nearest point
+    before a query comes from _since up the sequence, the nearest after it
+    from _since up the reversed views.
+    """
+    for pos, lcp, points, queries in _sides(pos, lcp, points, queries):
+        for s, w in _since(lcp, points):
+            q = queries[s]
+            at = pos[s][q]
             out[at] = np.maximum(out[at], w[q])
 
 
@@ -102,17 +101,18 @@ def _nearest_regions(best, pos, lcp, sid, points, queries) -> None:
     at the nearest point: the running minimum of w over the points alone,
     restarting at each point whose string differs from the previous one's.
     """
-    for down in (False, True):
+    for pos, lcp, sid, points, queries in _sides(pos, lcp, sid, points, queries):
         last_r, last_h = 0, 0  # before any point: no match
-        for s, order, here, w in _scan(len(pos), lcp, points, down):
-            r = np.concatenate(([last_r], sid[s][order][here]))
+        for s, w in _since(lcp, points):
+            here = points[s]
+            r = np.concatenate(([last_r], sid[s][here]))
             h = np.concatenate(([last_h], w[here]))
             h = _segmin(h, np.concatenate(([False], r[1:] != r[:-1])), _INF)
             last_r, last_h = int(r[-1]), int(h[-1])
-            q = queries(s)[order]
+            q = queries[s]
             k = np.cumsum(here)[q]  # the nearest point, in r and h (0: one in an earlier chunk)
             a1 = w[q]
-            _merge(best, pos[s][order][q], a1, r[k], np.minimum(h[k], a1))
+            _merge(best, pos[s][q], a1, r[k], np.minimum(h[k], a1))
 
 
 def _merge(best, at, a1, ra, a2) -> None:
@@ -127,21 +127,16 @@ def _merge(best, at, a1, ra, a2) -> None:
     r1[at] = np.where(a1 > b1, ra, rb)
 
 
-def _child_lcp(lcp: np.ndarray, bit: np.ndarray) -> None:
+def _child_lcp(lcp: np.ndarray, bit: np.ndarray, low: np.ndarray) -> None:
     """Turn lcp into the lcp within each half of the blocks, in place.
 
-    An element's predecessor in its half is the last earlier element with
-    the same bit; their lcp is the running minimum between the two.
+    An element's predecessor in its half (bit set, or low: clear) is the
+    last earlier element of that half, so their lcp is _since over that
+    half's mask.  Only the forward scan is needed: the halves keep the
+    sequence's order.  A chunk is rewritten after both scans have read it.
     """
-    carry0 = carry1 = _INF
-    for lo in range(0, len(bit), CHUNK):
-        half = bit[lo : lo + CHUNK]
-        above = bool(lo and bit[lo - 1])
-        after1, after0 = _after(half, above), _after(~half, bool(lo) and not above)
-        part = lcp[lo : lo + len(half)]
-        ones, zeros = _segmin(part, after1, carry1), _segmin(part, after0, carry0)
-        carry0, carry1 = int(zeros[-1]), int(ones[-1])
-        part[:] = np.where(half, ones, zeros)
+    for (s, ones), (_, zeros) in zip(_since(lcp, bit), _since(lcp, low)):
+        lcp[s] = np.where(bit[s], ones, zeros)
 
 
 def _local(pos, sid, starts, s=slice(None)):
@@ -172,7 +167,7 @@ def _levels(visit, pos, lcp, sid, starts, b: int) -> None:
         visit(pos, lcp, sid, low, bit)
         if b == 0:
             return
-        _child_lcp(lcp, bit)
+        _child_lcp(lcp, bit, low)
         b -= 1
         arrays = [pos, lcp[:-1]] + ([] if sid is None else [sid])
         if len(pos) > CHUNK:
@@ -408,10 +403,8 @@ class Index:
         self._lcp = halves[n : n + real + 1]
         self._lcp[real] = 0
         self._sa = sa[:real]
-        self._sid = np.empty(real, np.min_scalar_type(m - 1))  # the string of each suffix
-        for lo in range(0, real, CHUNK):
-            pos = self._sa[lo : lo + CHUNK]
-            self._sid[lo : lo + len(pos)] = np.searchsorted(self._starts, pos, side="right") - 1
+        ids = np.arange(m, dtype=np.min_scalar_type(m - 1))  # the string of each suffix:
+        self._sid = np.repeat(ids, [len(s) + 1 for s in self.strings])[self._sa]
 
     def matches(self, target: int, region: int, whole: bool) -> np.ndarray:
         """Match array of strings[target] against strings[region]."""
@@ -443,8 +436,8 @@ class Index:
         size = len(self.strings[r])
         out = np.zeros(self._starts[-1] + len(self.strings[-1]), np.int32)
         out[self._starts[r] : self._starts[r] + size] = np.arange(size, 0, -1)
-        sid = self._sid
-        _nearest(out, self._sa, self._lcp, lambda s: sid[s] == r, lambda s: sid[s] != r)
+        mine = self._sid == r
+        _nearest(out, self._sa, self._lcp, mine, ~mine)
         return out
 
     def _aligned(self, t: int, r: int) -> np.ndarray:
@@ -452,9 +445,9 @@ class Index:
         out = np.zeros(n, np.int32)
         if n > 1:
             def visit(pos, lcp, sid, low, bit):
-                if sid is not None:  # points in the region (1), queries in the target (0)
-                    low, bit = low & (sid == 1), bit & (sid == 0)
-                _nearest(out, pos, lcp, low.__getitem__, bit.__getitem__)
+                if sid is not None:  # points in the region (sid), queries in the target
+                    low, bit = low & sid, bit & ~sid
+                _nearest(out, pos, lcp, low, bit)
 
             pos, lcp, sid = self._gather(t, r, n - 1)
             _levels(visit, pos, lcp, sid, None, (n - 1).bit_length() - 1)
@@ -482,9 +475,7 @@ class Index:
         v1 = np.zeros(width, np.min_scalar_type(longest))
         v2, r1 = np.zeros_like(v1), np.zeros(width, np.min_scalar_type(len(self.strings) - 1))
         if longest > 1:
-            def visit(pos, lcp, sid, low, bit):
-                _nearest_regions((v1, r1, v2), pos, lcp, sid, low.__getitem__, bit.__getitem__)
-
+            visit = partial(_nearest_regions, (v1, r1, v2))
             _levels(visit, pos, lcp, sid, self._starts, (longest - 1).bit_length() - 1)
         v1.flags.writeable = False  # best_aligned hands out views of it
         return v1, r1, v2
@@ -493,29 +484,24 @@ class Index:
         """Suffixes of the target and those of the region starting before limit.
 
         Returns, in suffix-array order, their positions in their strings,
-        the lcp of each with the one before (and a final 0), and their
-        strings: 0 the target, 1 the region; None for the own past.
+        the lcp of each with the one before (and a final 0), and whether
+        each is in the region (None for the own past).
         """
         start_t, start_r = self._starts[t], self._starts[r]
         own = r == t
         size = len(self.strings[t]) + (0 if own else min(limit, len(self.strings[r])))
         pos, lcp = np.empty(size, np.int32), np.zeros(size + 1, np.int32)
-        sid = None if own else np.empty(size, np.uint8)
-        carry, kept_last, at = _INF, False, 0
-        for lo in range(0, len(self._sa), CHUNK):
-            sa, ids = self._sa[lo : lo + CHUNK], self._sid[lo : lo + CHUNK]
-            is_t = ids == t
-            is_r = (ids == r) & (sa < start_r + limit)
-            keep = is_t if own else is_t | is_r
-            w = _segmin(self._lcp[lo : lo + len(sa)], _after(keep, kept_last), carry)
-            carry, kept_last = int(w[-1]), bool(keep[-1])
-            end = at + int(np.count_nonzero(keep))
-            pos[at:end] = sa[keep] - np.where(is_t[keep], start_t, start_r)
-            lcp[at:end] = w[keep]
-            if not own:
-                sid[at:end] = is_r[keep]
+        in_t = self._sid == t
+        keep = in_t if own else in_t | (self._sid == r) & (self._sa < start_r + limit)
+        at = 0
+        for s, w in _since(self._lcp, keep):
+            kept = keep[s]
+            mine = in_t[s][kept]
+            end = at + len(mine)
+            pos[at:end] = self._sa[s][kept] - np.where(mine, start_t, start_r)
+            lcp[at:end] = w[kept]
             at = end
-        return pos, lcp, sid
+        return pos, lcp, None if own else ~in_t[keep]
 
 
 def _dense(target: bytes, regions: list[bytes], whole: list[bool]):

@@ -7,12 +7,13 @@ runs and platforms.  OS randomness is never used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .directed import StringSet
+from .directed import StringSet, _has_cycle
 from .estimators import Estimate, estimate_from_lengths, sigmoid_function, threshold_function
 
 
@@ -85,10 +86,17 @@ class DagSpec:
             raise ValueError("connectivity must be N x (N+1)")
         if np.any(m < 0) or np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("connectivity rows must sum to 1")
-        if _copy_graph_has_cycle(m):
+        # edge j -> i whenever process i copies from process j
+        if _has_cycle(n, [(j, i, 0.0) for i, j in zip(*np.nonzero(m[:, :n]))]):
             raise ValueError("connectivity must be acyclic")
         if self.length < 1:
             raise ValueError("length must be positive")
+        if not 2 <= self.alphabet_size <= 256:
+            raise ValueError("alphabet size must be in [2, 256]")
+        if self.burn_in < 0:
+            raise ValueError("burn-in must be >= 0")
+        if not 0 < self.copy_scale < math.inf:
+            raise ValueError(f"scale must be a finite number > 0, not {self.copy_scale!r}")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(f"p{i}" for i in range(n)))
         elif len(self.labels) != n:
@@ -97,21 +105,6 @@ class DagSpec:
     @property
     def n_processes(self) -> int:
         return self.connectivity.shape[0]
-
-
-def _copy_graph_has_cycle(m: np.ndarray) -> bool:
-    n = m.shape[0]
-    # edge j -> i whenever process i copies from process j
-    adj = [[i for i in range(n) if m[i, j] > 0] for j in range(n)]
-    state = [0] * n
-    def dfs(u: int) -> bool:
-        state[u] = 1
-        for v in adj[u]:
-            if state[v] == 1 or (state[v] == 0 and dfs(v)):
-                return True
-        state[u] = 2
-        return False
-    return any(state[u] == 0 and dfs(u) for u in range(n))
 
 
 def generate_dag_processes(spec: DagSpec) -> StringSet:
@@ -165,8 +158,8 @@ class LengthProfileSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be a finite number > 0, not {self.mu!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.target_length < 1:

@@ -289,6 +289,34 @@ class TestSimulate:
         assert "bad simulate spec" in res.output
 
 
+DAG_SPEC = "length 100\nconnectivity\n0.0 0.0 1.0\n0.9 0.0 0.1\n"
+
+
+@pytest.mark.parametrize("command, text, kind, key", [
+    (["gen", "dag"], "scale inf\n" + DAG_SPEC, "dag", "scale"),
+    (["gen", "dag"], "scale nan\n" + DAG_SPEC, "dag", "scale"),
+    (["gen", "dag"], "scale -5\n" + DAG_SPEC, "dag", "scale"),
+    (["gen", "dag"], "alphabet 300\n" + DAG_SPEC, "dag", "alphabet"),
+    (["gen", "dag"], "alphabet 1\n" + DAG_SPEC, "dag", "alphabet"),
+    (["gen", "dag"], "burnin -3\n" + DAG_SPEC, "dag", "burn-in"),
+    (["simulate"], "mu nan\nl0 6\nlength 1024\n", "simulate", "mu"),
+    (["simulate"], "mu inf\nl0 6\nlength 1024\n", "simulate", "mu"),
+    (["simulate"], "mu 5,-1\nl0 6\nlength 1024\n", "simulate", "mu"),
+], ids=["dag-scale-inf", "dag-scale-nan", "dag-scale-negative", "dag-alphabet-300",
+        "dag-alphabet-1", "dag-burnin-negative", "simulate-mu-nan", "simulate-mu-inf",
+        "simulate-mu-negative"])
+def test_bad_spec_value_is_one_line_error(runner, tmp_path, command, text, kind, key):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text)
+    out = ["--out-dir", str(tmp_path / "gen")] if command[0] == "gen" else []
+    res = runner.invoke(main, [*command, str(spec), *out])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    [line] = res.output.strip().splitlines()
+    assert line.startswith(f"Error: bad {kind} spec: {key}")
+    assert not (tmp_path / "gen").exists()
+
+
 @contextlib.contextmanager
 def _computing_fails(exc):
     """Every NSD matrix and every directed-information matrix raises exc."""

@@ -240,6 +240,44 @@ def test_lcp_equals_naive_definition(chunk):
     assert max(galloped) > 200  # the long pair went through the galloping tail
 
 
+def _block_lcps(rng, big):
+    """Seeded lcp arrays of random block structures: 0 at each block start and a trailing 0."""
+    sizes = [1, 2, 3, 5, 9, 17, 40, 200] * 6 + ([20_000] if big else [])
+    for n in sizes:
+        lcp = rng.integers(1, 12, n + 1).astype(np.int32)
+        lcp[rng.random(n + 1) < rng.choice([0.02, 0.2, 0.6])] = 0
+        lcp[0] = lcp[n] = 0
+        yield lcp, rng.random(n) < rng.choice([0.01, 0.3, 0.9])
+
+
+def _naive_since(lcp, marks):
+    """Minimum of lcp since the element after the last mark, 0 if the block has none."""
+    out, last = [], None
+    for i in range(len(marks)):
+        out.append(0 if last is None else int(lcp[last + 1 : i + 1].min()))
+        if marks[i]:
+            last = i
+    return out
+
+
+@pytest.mark.parametrize("chunk", [index.CHUNK, 3])
+def test_since_and_child_lcp_equal_naive_loops(chunk):
+    rng = np.random.default_rng(13)
+    cases = list(_block_lcps(rng, big=chunk == index.CHUNK))  # 20000 elements: more than one default CHUNK
+    with mock.patch.object(index, "CHUNK", chunk):
+        for lcp, marks in cases:
+            for side in (slice(None), slice(None, None, -1)):  # up the sequence, and down it
+                view, mask = lcp[side], marks[side]
+                got = list(index._since(view, mask))
+                assert [s.start for s, _ in got] == list(range(0, len(mask), chunk))
+                assert np.concatenate([w for _, w in got]).tolist() == _naive_since(view, mask)
+                # a half's predecessor is the last earlier element of that half
+                want = np.where(mask, _naive_since(view, mask), _naive_since(view, ~mask))
+                child = view.copy()
+                index._child_lcp(child, mask, ~mask)
+                assert child[:-1].tolist() == want.tolist() and child[-1] == view[-1]
+
+
 def _naive_aligned(target, region):
     """Longest match at each target position q with a region start p < q."""
     def common(q, p):

@@ -90,6 +90,27 @@ class TestDagProcesses:
         with pytest.raises(ValueError, match="acyclic"):
             DagSpec(m, length=100, seed=0)
 
+    def test_long_acyclic_chain_accepted(self):
+        # each process copies from the one before it: a chain deeper than the recursion limit
+        n = 1100
+        m = np.zeros((n, n + 1))
+        m[np.arange(1, n), np.arange(n - 1)] = 0.5
+        m[1:, n] = 0.5
+        m[0, n] = 1.0
+        assert DagSpec(m, length=10, seed=0).n_processes == n
+        m[0, n - 1], m[0, n] = 0.5, 0.5  # closing the chain into a cycle
+        with pytest.raises(ValueError, match="acyclic"):
+            DagSpec(m, length=10, seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alphabet_size", 1), ("alphabet_size", 257), ("burn_in", -1),
+        ("copy_scale", 0.0), ("copy_scale", -5.0), ("copy_scale", float("inf")),
+        ("copy_scale", float("nan")),
+    ])
+    def test_bad_parameter_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be"):
+            DagSpec(CHAIN_3, length=100, seed=0, **{field: value})
+
     def test_row_sum_rejected(self):
         m = np.array([[0.0, 0.5, 0.4], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="sum to 1"):
@@ -149,6 +170,11 @@ class TestLengthProfile:
     def test_bad_mu_rejected(self):
         with pytest.raises(ValueError, match="mu"):
             LengthProfileSpec(mu=0, l0=4, target_length=100)
+
+    @pytest.mark.parametrize("mu", [-1.0, float("inf"), float("nan")])
+    def test_negative_or_non_finite_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu must be a finite number > 0"):
+            LengthProfileSpec(mu=mu, l0=4, target_length=100)
 
 
 class TestSpecFile:

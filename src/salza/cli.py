@@ -55,6 +55,19 @@ def _spec_errors(kind: str):
         raise ValueError(f"bad {kind} spec: {exc}") from exc
 
 
+def _integer(key: str, value, least: int | None = None) -> int:
+    """A spec value that must be an integer (>= least, if given); the error names the key.
+
+    A float with no fractional part counts as its integer.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or least is not None and value < least:
+        rule = "an integer" if least is None else f"an integer >= {least}"
+        raise ValueError(f"{key} must be {rule}, not {value!r}")
+    return value
+
+
 def _check_writable(*paths: str | None) -> None:
     """Fails now, as the final write would, on an output path that cannot be written.
 
@@ -205,21 +218,21 @@ def markov(specfile, out_dir):
     """
     with _spec_errors("markov"):
         cfg = _synth.parse_spec_file(specfile)
-        count = int(cfg.get("realizations", 1))
-        base_seed = int(cfg.get("seed", 0))
-        tag = cfg.get("id", 0)
-        outdir = Path(out_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for c in range(count):
-            spec = _synth.MarkovSpec(
-                alphabet_size=int(cfg["alphabet"]),
-                transition=cfg["transition"],
-                length=int(cfg["length"]),
-                seed=base_seed + c,
-            )
-            label = f"alpha{spec.alphabet_size}_m{tag}_c{c}"
-            (outdir / label).write_bytes(_synth.generate_markov(spec))
-            click.echo(str(outdir / label))
+        count = _integer("realizations", cfg.get("realizations", 1), 1)
+        base_seed = _integer("seed", cfg.get("seed", 0), 0)
+        specs = [_synth.MarkovSpec(
+            alphabet_size=_integer("alphabet", cfg["alphabet"]),
+            transition=cfg["transition"],
+            length=_integer("length", cfg["length"]),
+            seed=base_seed + c,
+        ) for c in range(count)]
+    tag = cfg.get("id", 0)
+    outdir = Path(out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for c, spec in enumerate(specs):
+        label = f"alpha{spec.alphabet_size}_m{tag}_c{c}"
+        (outdir / label).write_bytes(_synth.generate_markov(spec))
+        click.echo(str(outdir / label))
 
 
 @gen.command()
@@ -237,11 +250,11 @@ def dag(specfile, out_dir):
         cfg = _synth.parse_spec_file(specfile)
         spec = _synth.DagSpec(
             connectivity=cfg["connectivity"],
-            length=int(cfg["length"]),
-            seed=int(cfg.get("seed", 0)),
-            burn_in=int(cfg.get("burnin", 12)),
+            length=_integer("length", cfg["length"]),
+            seed=_integer("seed", cfg.get("seed", 0), 0),
+            burn_in=_integer("burnin", cfg.get("burnin", 12)),
             copy_scale=float(cfg.get("scale", 20.0)),
-            alphabet_size=int(cfg.get("alphabet", 256)),
+            alphabet_size=_integer("alphabet", cfg.get("alphabet", 256)),
         )
     strings = _synth.generate_dag_processes(spec)
     outdir = Path(out_dir)
@@ -284,9 +297,10 @@ def simulate(specfile, out):
             return [float(v) for v in str(cfg[key]).split(",")]
 
         l0 = float(cfg["l0"])
-        trials = int(cfg.get("trials", 200))
-        seed = int(cfg.get("seed", 0))
-        specs = [_synth.LengthProfileSpec(mu=mu, l0=l0, target_length=int(n), trials=trials, seed=seed)
+        trials = _integer("trials", cfg.get("trials", 200))
+        seed = _integer("seed", cfg.get("seed", 0), 0)
+        specs = [_synth.LengthProfileSpec(mu=mu, l0=l0, target_length=_integer("length", n),
+                                          trials=trials, seed=seed)
                  for mu in sweep("mu") for n in sweep("length")]
     lines = ["mu\tlength\tl0\tthreshold_S\tthreshold_value\tsigmoid_S\tsigmoid_value\tZ"]
     for spec in specs:

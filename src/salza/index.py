@@ -11,6 +11,9 @@ Every kernel over the suffix array rests on one scan, _since: each
 element's match with the last marked element before it, the running
 minimum of the LCP since the mark, carried across CHUNK-sized pieces.  The
 scan down the sequence is the same scan up its reversed views.
+
+A reference's leftmost start comes from the run of the suffix array that
+shares its match (Index.leftmost), or from the dense kernel's first column.
 """
 
 from __future__ import annotations
@@ -74,6 +77,42 @@ def _since(lcp: np.ndarray, marks: np.ndarray):
 def _sides(*arrays):
     """The arrays, then their reversed views: a pass down a sequence is a pass up its reversal."""
     return arrays, tuple(a[::-1] for a in arrays)
+
+
+def _block_min(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(a[lo:hi]) for each pair of bounds, lo < hi < len(a), by one minimum.reduceat.
+
+    reduceat also reduces the stretch from each hi to the next lo; with the
+    pairs in order those stretches add up to at most the array.
+    """
+    bounds = np.empty(2 * len(lo), np.intp)
+    bounds[0::2], bounds[1::2] = lo, hi
+    return np.minimum.reduceat(a[: int(hi.max()) + 1], bounds)[0::2]
+
+
+def _run_starts(lcp: np.ndarray, rank: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """First element of the run around each rank that shares at least length with it.
+
+    That is the largest i <= rank with lcp[i] < length (lcp[0] = 0 ends
+    every search).  Blocks of doubling size going down from rank are tested
+    until one holds such an i, which halving that block then finds; each
+    test is one _block_min over all ranks still searching.  rank is
+    ascending.  On reversed views it gives the last element of each run.
+    """
+    lo, hi = rank.copy(), rank + 1  # the block [lo, hi) under test
+    todo, size = np.arange(len(rank)), 1
+    while len(todo):
+        lo[todo] = np.maximum(hi[todo] - size, 0)
+        todo = todo[_block_min(lcp, lo[todo], hi[todo]) >= length[todo]]
+        hi[todo] = lo[todo]
+        size *= 2
+    todo = np.flatnonzero(hi - lo > 1)
+    while len(todo):  # the last i in [lo, hi) with lcp[i] < length
+        mid = (lo[todo] + hi[todo]) // 2
+        upper = _block_min(lcp, mid, hi[todo]) < length[todo]
+        lo[todo[upper]], hi[todo[~upper]] = mid[upper], mid[~upper]
+        todo = todo[hi[todo] - lo[todo] > 1]
+    return lo
 
 
 def _nearest(out, pos, lcp, points, queries) -> None:
@@ -480,6 +519,69 @@ class Index:
         v1.flags.writeable = False  # best_aligned hands out views of it
         return v1, r1, v2
 
+    def leftmost(self, t: int, at: np.ndarray, length: np.ndarray, region: np.ndarray) -> np.ndarray:
+        """Leftmost start in strings[region] of the match of length with strings[t] at each of at.
+
+        at is ascending, and each match must exist.  The suffixes that share
+        at least length with the target's suffix form one run of the suffix
+        array around its rank; the start is the smallest position among the
+        region's suffixes there.  For an aligned region (or the own past)
+        that start is below the limit, as the match found lies in the run.
+        """
+        if not len(at):
+            return np.zeros(0, np.int64)
+        if self._sa is None:
+            self._build()
+        n = len(self._sa)
+        rank = self._ranks(t, at)
+        order = np.argsort(rank)  # _run_starts and _block_min take the runs in order
+        rank, length, region = rank[order], length[order], region[order]
+        first = _run_starts(self._lcp, rank, length)
+        last = n - 1 - _run_starts(self._lcp[::-1], n - 1 - rank[::-1], length[::-1])[::-1]
+        out = np.empty(len(at), np.int64)
+        out[order] = self._run_minima(first, last, region)
+        return out
+
+    def _ranks(self, t: int, at: np.ndarray) -> np.ndarray:
+        """Rank of the suffix of strings[t] at each of at (ascending), by one pass over _sa.
+
+        A table of buckets, 8 to 32 per position sought, picks the few
+        candidates in each chunk; a binary search then checks them.
+        """
+        want = self._starts[t] + at
+        top = int(self._starts[-1]) + len(self.strings[-1])
+        shift = max(top.bit_length() - (16 * len(want)).bit_length(), 0)
+        bucket = np.zeros((top >> shift) + 1, bool)
+        bucket[want >> shift] = True
+        rank = np.empty(len(at), np.int64)
+        for lo in range(0, len(self._sa), CHUNK):
+            c = lo + np.flatnonzero(bucket[self._sa[lo : lo + CHUNK] >> shift])
+            pos = self._sa[c]
+            k = np.minimum(np.searchsorted(want, pos), len(want) - 1)
+            hit = want[k] == pos
+            rank[k[hit]] = c[hit]
+        return rank
+
+    def _run_minima(self, first: np.ndarray, last: np.ndarray, region: np.ndarray) -> np.ndarray:
+        """Smallest position in strings[region] of a suffix of ranks first..last, for each run.
+
+        The runs' elements are read CHUNK at a time, each piece taking
+        each run's part of it by one minimum.reduceat.
+        """
+        size = last - first + 1
+        ends = np.cumsum(size)
+        out = np.full(len(first), _INF, np.int64)
+        for lo in range(0, int(ends[-1]), CHUNK):
+            e = np.arange(lo, min(lo + CHUNK, int(ends[-1])))
+            k = np.searchsorted(ends, e, side="right")  # the run of each element
+            rank = first[k] + e - (ends[k] - size[k])
+            r = region[k]
+            pos = np.where(self._sid[rank] == r, self._sa[rank] - self._starts[r], _INF)
+            heads = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+            k = k[heads]
+            out[k] = np.minimum(out[k], np.minimum.reduceat(pos, heads))
+        return out
+
     def _gather(self, t: int, r: int, limit: int):
         """Suffixes of the target and those of the region starting before limit.
 
@@ -529,31 +631,47 @@ def _dense(target: bytes, regions: list[bytes], whole: list[bool]):
     # an aligned region admits starts p < q only
     start = np.concatenate([np.full(k, -1) if w else np.arange(k) for k, w in zip(sizes, whole)])
     runs *= start < np.arange(m)[:, None]
-    # the first column with a row's maximum is in the first region in tie-break order
-    return runs.max(axis=1), np.searchsorted(ends, runs.argmax(axis=1), side="right").astype(np.int32)
+    # the first column with a row's maximum is the leftmost start in the first
+    # region in tie-break order
+    column = runs.argmax(axis=1)
+    region = np.searchsorted(ends, column, side="right")
+    return runs.max(axis=1), region, column - (ends - sizes)[region]
 
 
 def best_matches(target: bytes, regions: list[bytes], whole: list[bool], index: Index | None = None):
-    """Longest permitted match at every target position, and a function giving the first region with it.
+    """Longest permitted match at every target position, and a function where.
 
-    regions are in tie-break order; index, if given, must hold the target
-    and every region.  An all_pairs index serves the aligned pasts of all
-    its strings but at most one from its sweep; the first regions, read
-    only for the symbols' sources, then come from the per-pair arrays.
+    where(at, length) gives, at the positions at (ascending), the first
+    region with the longest match and the leftmost start of that match;
+    length is its length there (best[at]), passed back so that where need
+    not keep best.  regions are in tie-break order; index, if given, must
+    hold the target and every region.  An all_pairs index serves the
+    aligned pasts of all its strings but at most one from its sweep; the
+    first regions, read only for the symbols, then come from the per-pair
+    arrays.  An index made here lives as long as where, without its match
+    arrays.
     """
     n = len(target)
     if (n + 1) * sum(len(s) + 1 for s in regions) <= DENSE_CELLS:
-        best, which = _dense(target, regions, whole)
-        return best, lambda: which
+        best, which, start = _dense(target, regions, whole)
+        return best, lambda at, length: (which[at], start[at])
+    private = index is None
     index = index or Index([target] + regions)
     t = index.id(target)
     ids = [index.id(s) for s in regions]
-    if index._all_pairs and not any(whole):
-        left_out = set(range(len(index.strings))).difference(ids)
-        if len(left_out) <= 1:
-            return index.best_aligned(t, *left_out), lambda: _first_best(index, t, ids, whole)[1]
-    best, which = _first_best(index, t, ids, whole)
-    return best, lambda: which
+    left_out = set(range(len(index.strings))).difference(ids)
+    if index._all_pairs and not any(whole) and len(left_out) <= 1:
+        best, which = index.best_aligned(t, *left_out), None
+    else:
+        best, which = _first_best(index, t, ids, whole)
+        if private:  # the offsets need only the suffix array
+            index._target, index._cache, index._row_of, index._row = None, {}, None, None
+
+    def where(at, length):
+        region = (_first_best(index, t, ids, whole)[1] if which is None else which)[at]
+        return region, index.leftmost(t, at, length, np.take(ids, region))
+
+    return best, where
 
 
 def _first_best(index: Index, t: int, ids: list[int], whole: list[bool]):

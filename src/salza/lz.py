@@ -111,7 +111,7 @@ class Factorization:
 
     factorize fills in the symbol lengths and makes the symbols themselves,
     with their offsets, on first access: the estimators read only the
-    lengths.
+    lengths.  Until then it holds what the offsets are read from.
     """
 
     __slots__ = ("target_length", "mode", "_symbols", "_lengths", "_make")
@@ -199,20 +199,22 @@ def factorize(target: bytes, context: Context) -> Factorization:
     own = context.uses_own_past
     regions = [target] * own + list(context.sources)
     whole = [False] * own + [context.uses_whole_sources] * len(context.sources)
-    best, which = best_matches(target, regions, whole, context.index)
+    best, where = best_matches(target, regions, whole, context.index)
     lengths = walk(best)
 
     def make() -> tuple[Symbol, ...]:
-        which_v, out, t = memoryview(which()), [], 0
+        nonlocal where
+        size = np.array(lengths)
+        ref = size > 1
+        region, start = where((np.cumsum(size) - size)[ref], size[ref])
+        where = None  # an index made for this parse goes before the symbols come: a lower peak RSS
+        refs = zip(region.tolist(), start.tolist())
+        out, t = [], 0
         for length in lengths:
             if length == 1:
                 out.append(_LITERALS[target[t]])
             else:
-                k = which_v[t]
-                s = regions[k]
-                avail = len(s) if whole[k] else min(t, len(s))
-                # the leftmost start of a longest match: no earlier start matches this far
-                p = s.find(target[t : t + length], 0, avail - 1 + length)
+                k, p = next(refs)
                 out.append(Symbol(length=length, source=k - own if k >= own else SELF, offset=p))
             t += length
         return tuple(out)

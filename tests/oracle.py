@@ -39,3 +39,23 @@ def naive_factorize(target: bytes, context: Context) -> Factorization:
             symbols.append(Symbol(length=1, literal=target[t]))
             t += 1
     return Factorization(symbols=tuple(symbols), target_length=n, mode=context.mode)
+
+
+def find_offsets(target: bytes, context: Context, lengths, which) -> list[int]:
+    """Leftmost start of each reference, by bytes.find over its region.
+
+    lengths are the symbol lengths of a parse of target (1 for a literal),
+    which the source of each reference in order (SELF or a source index).
+    A start must lie below the region's limit at the reference's position.
+    Fast enough for inputs of some kB, where naive_factorize is not.
+    """
+    sources = iter(which)
+    out, t = [], 0
+    for length in lengths:
+        if length > 1:
+            k = next(sources)
+            s = target if k == SELF else context.sources[k]
+            avail = len(s) if k != SELF and context.uses_whole_sources else min(t, len(s))
+            out.append(s.find(target[t : t + length], 0, avail - 1 + length))
+        t += length
+    return out

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from oracle import find_offsets
 from salza.cli import main
+from salza.lz import SELF, Context, Factorization, Mode, Symbol, decode
 from salza.tsv import read_matrix
 
 
@@ -262,6 +264,30 @@ class TestFactorize:
         assert res.exit_code == 0, res.output
         assert "ref" in out.read_text()
 
+    def test_dump_of_a_binary_pair_decodes_with_leftmost_offsets(self, runner, tmp_path):
+        # 2 x 8 KiB: too large for the dense kernel, so the offsets come from the suffix array
+        rng = np.random.default_rng(19)
+        a, b, c = (rng.integers(0, 2, 8192, dtype=np.uint8).tobytes() for _ in range(3))
+        x, y = a + b, b + c
+        paths = write_corpus(tmp_path, {"y": y, "x": x})
+        out = tmp_path / "dump.tsv"
+        res = runner.invoke(main, ["factorize", *paths, "--mode", "past-all", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        symbols = []
+        for row in out.read_text().splitlines()[1:]:
+            _, length, kind, source, value = row.split("\t")
+            if kind == "lit":
+                symbols.append(Symbol(length=1, literal=int(value)))
+            else:
+                symbols.append(Symbol(length=int(length), source=SELF if source == "self" else 0,
+                                      offset=int(value)))
+        context = Context((x,), Mode.PAST_AND_SOURCES)
+        f = Factorization(tuple(symbols), len(y), context.mode)
+        assert decode(f, context) == y
+        refs = [sym for sym in symbols if not sym.is_literal]
+        assert refs[0] == Symbol(length=8192, source=0, offset=8192)  # b, found in x after a
+        assert [sym.offset for sym in refs] == find_offsets(y, context, f.lengths, [sym.source for sym in refs])
+
     def test_mode_validation_error(self, runner, tmp_path):
         t = tmp_path / "t"
         t.write_bytes(b"abc")
@@ -292,7 +318,24 @@ class TestSimulate:
 DAG_SPEC = "length 100\nconnectivity\n0.0 0.0 1.0\n0.9 0.0 0.1\n"
 
 
+def _markov_spec(line):
+    """A good two-letter chain spec with line added last among its keys (the last value of a key wins)."""
+    return f"alphabet 2\nlength 100\nseed 3\n{line}\ntransition\n0.5 0.5\n0.5 0.5\n"
+
+
 @pytest.mark.parametrize("command, text, kind, key", [
+    (["gen", "markov"], _markov_spec("realizations -2"), "markov", "realizations"),
+    (["gen", "markov"], _markov_spec("realizations 0"), "markov", "realizations"),
+    (["gen", "markov"], _markov_spec("realizations 1.5"), "markov", "realizations"),
+    (["gen", "markov"], _markov_spec("seed -1"), "markov", "seed"),
+    (["gen", "markov"], _markov_spec("length 1e3.5"), "markov", "length"),
+    (["gen", "markov"], _markov_spec("alphabet 2.5"), "markov", "alphabet"),
+    (["gen", "dag"], DAG_SPEC.replace("length 100", "length 1e3.5"), "dag", "length"),
+    (["gen", "dag"], "seed -1\n" + DAG_SPEC, "dag", "seed"),
+    (["gen", "dag"], "burnin 2.5\n" + DAG_SPEC, "dag", "burnin"),
+    (["simulate"], "mu 5\nl0 6\nlength 1024\ntrials 2.9\n", "simulate", "trials"),
+    (["simulate"], "mu 5\nl0 6\nlength 1024.5\n", "simulate", "length"),
+    (["simulate"], "mu 5\nl0 6\nlength 1024\nseed -1\n", "simulate", "seed"),
     (["gen", "dag"], "scale inf\n" + DAG_SPEC, "dag", "scale"),
     (["gen", "dag"], "scale nan\n" + DAG_SPEC, "dag", "scale"),
     (["gen", "dag"], "scale -5\n" + DAG_SPEC, "dag", "scale"),
@@ -302,7 +345,11 @@ DAG_SPEC = "length 100\nconnectivity\n0.0 0.0 1.0\n0.9 0.0 0.1\n"
     (["simulate"], "mu nan\nl0 6\nlength 1024\n", "simulate", "mu"),
     (["simulate"], "mu inf\nl0 6\nlength 1024\n", "simulate", "mu"),
     (["simulate"], "mu 5,-1\nl0 6\nlength 1024\n", "simulate", "mu"),
-], ids=["dag-scale-inf", "dag-scale-nan", "dag-scale-negative", "dag-alphabet-300",
+], ids=["markov-realizations-negative", "markov-realizations-0", "markov-realizations-fraction",
+        "markov-seed-negative", "markov-length-not-a-number", "markov-alphabet-fraction",
+        "dag-length-not-a-number", "dag-seed-negative", "dag-burnin-fraction",
+        "simulate-trials-fraction", "simulate-length-fraction", "simulate-seed-negative",
+        "dag-scale-inf", "dag-scale-nan", "dag-scale-negative", "dag-alphabet-300",
         "dag-alphabet-1", "dag-burnin-negative", "simulate-mu-nan", "simulate-mu-inf",
         "simulate-mu-negative"])
 def test_bad_spec_value_is_one_line_error(runner, tmp_path, command, text, kind, key):

@@ -1,6 +1,7 @@
 """The match-array kernels against the naive oracle, and one index shared across cells."""
 
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import naive_factorize
+from oracle import find_offsets, naive_factorize
 from salza import DagSpec, StringSet, generate_dag_processes, index
 from salza.directed import directed_info_matrix
 from salza.estimators import conditional_complexity, nsd, nsd_matrix
-from salza.lz import Context, Mode, factorize
+from salza.lz import Context, Mode, decode, factorize
 
 # Module settings that force each kernel; CHUNK = 3 makes every scan carry
 # its running minimum across many chunks.
@@ -426,3 +427,80 @@ def test_causal_matrix_memory_grows_with_bytes_not_strings():
 
     with mock.patch.object(index, "CHUNK", 1024):  # chunk temporaries would hide the arrays per byte
         assert peak_per_byte(24) <= 1.25 * peak_per_byte(6)
+
+
+def _assert_offsets_leftmost(target, context, f):
+    """f's references start where bytes.find first finds them, as Python ints, and f decodes."""
+    refs = [sym for sym in f.symbols if not sym.is_literal]
+    assert [sym.offset for sym in refs] == find_offsets(target, context, f.lengths, [sym.source for sym in refs])
+    assert all(type(sym.offset) is int for sym in refs)  # not np.int64: repr(f) depends on it
+    assert decode(f, context) == target
+
+
+def _families(rng, size):
+    """Unary, periodic and word-plus-noise strings: suffix-array runs that span many windows."""
+    word = rng.integers(0, 256, 8, dtype=np.uint8).tobytes()
+    noisy = b"".join(word + bytes([b]) for b in rng.integers(0, 4, size // 9 + 1).tolist())
+    return {"unary": b"a" * size, "periodic": (b"abcdefg" * size)[:size], "word+noise": noisy[:size]}
+
+
+@pytest.mark.parametrize("chunk", [index.CHUNK, 3])
+def test_offsets_are_leftmost_starts(chunk):
+    rng = np.random.default_rng(16)
+    for x in _families(rng, 2000).values():
+        y = x[7:] + x[:300]
+        for mode in Mode:
+            # a source equal to the target, and one source given twice
+            sources = (x,) if mode is Mode.SOURCE_PAST else (x[:1500], y, x[:1500])
+            context = Context(sources, mode)
+            with mock.patch.object(index, "DENSE_CELLS", 0):
+                f = factorize(y, context)
+            with mock.patch.object(index, "CHUNK", chunk):
+                _assert_offsets_leftmost(y, context, f)
+            small = Context(tuple(s[:60] for s in sources), mode)  # the dense kernel's offsets
+            _assert_offsets_leftmost(y[:80], small, factorize(y[:80], small))
+
+
+@pytest.mark.parametrize("chunk", [index.CHUNK, 3])
+def test_causal_term_offsets_after_the_sweep(chunk):
+    strings = _tied_sources(duplicates=True)
+    idx = index.Index(strings, all_pairs=True)
+    terms = []
+    with mock.patch.object(index, "DENSE_CELLS", 0):
+        for j, skip in [(0, 1), (0, None), (1, 0), (3, 2)]:
+            others = tuple(s for k, s in enumerate(strings) if k not in (j, skip))
+            context = Context(others, Mode.PAST_OF_BOTH, idx)
+            terms.append((strings[j], context, factorize(strings[j], context)))
+        assert idx._best is not None and idx._sa is None  # the sweep took the index's arrays
+        with mock.patch.object(index, "CHUNK", chunk):
+            for target, context, f in terms:
+                _assert_offsets_leftmost(target, context, f)
+                assert f == naive_factorize(target, context)
+
+
+def test_private_index_lives_until_symbols_are_made():
+    made = []
+    init = index.Index.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    x, y = _strings(17, 2, 600)
+    with mock.patch.object(index, "DENSE_CELLS", 0), mock.patch.object(index.Index, "__init__", tracked):
+        f = factorize(y, Context((x,), Mode.PAST_AND_SOURCES))
+        [ref] = made
+        assert ref() is not None and ref()._cache == {}  # held for the offsets, without its match arrays
+        f.symbols
+    assert ref() is None
+
+
+def test_shared_index_keeps_its_cache_and_row_after_symbols():
+    x, y = _strings(18, 2, 600)
+    idx = index.Index((x, y))
+    with mock.patch.object(index, "DENSE_CELLS", 0):
+        f = factorize(y, Context((x,), Mode.PAST_AND_SOURCES, idx))
+        cache, row = dict(idx._cache), idx._row
+        _assert_offsets_leftmost(y, Context((x,), Mode.PAST_AND_SOURCES), f)
+    assert idx._cache.keys() == cache.keys() and idx._row is row is not None
+    assert all(idx._cache[key] is cache[key] for key in cache)

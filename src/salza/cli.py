@@ -294,7 +294,10 @@ def simulate(specfile, out):
         cfg = _synth.parse_spec_file(specfile)
 
         def sweep(key):
-            return [float(v) for v in str(cfg[key]).split(",")]
+            try:
+                return [float(v) for v in str(cfg[key]).split(",")]
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
 
         l0 = float(cfg["l0"])
         trials = _integer("trials", cfg.get("trials", 200))

@@ -107,10 +107,10 @@ def directed_info_matrix(
     j are computed once and shared by the n terms of column j, including
     the subtrahend (j conditioned on everything but itself).  A causal
     term parses j against the aligned pasts of all strings but at most
-    one, so one sweep over the index, with one nearest pass per position
-    bit for all strings together, serves every term: at each position it
-    keeps the longest match, the string giving it and the longest from
-    any other string.
+    one, so the shared index serves every term from one sweep, with one
+    nearest pass per position bit for all strings together: at each
+    position it keeps the longest match, the string giving it and the
+    longest from any other string (see Index).
     """
     if kind not in _KIND_MODES:
         raise ValueError(f"unknown kind: {kind}")
@@ -118,7 +118,7 @@ def directed_info_matrix(
     n = len(X)
     if n < 2:
         raise ValueError("need at least two strings")
-    index = Index(X.strings, all_pairs=kind == "causal")
+    index = Index(X.strings)
 
     def column(j: int) -> list[float]:
         base = _term(X, j, set(), kind, f, index)

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .index import Index
+from .index import MAX_LENGTH, Index
 from .lz import MIN_MATCH, Context, Mode, factorize
 
 
@@ -57,6 +57,8 @@ class AdmissibleFunction:
             raise ValueError("table values must lie in [0, 1]")
         if any(b <= a for a, b in zip(keys, keys[1:])):
             raise ValueError("table lengths must be sorted and distinct")
+        if keys and keys[-1] > MAX_LENGTH:
+            raise ValueError(f"table lengths must be at most {MAX_LENGTH}")
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise ValueError("table must be monotonically increasing")
 
@@ -165,16 +167,14 @@ def joint_complexity(x: bytes, y: bytes, f: AdmissibleFunction | None = None) ->
 
     Factorizes y against its own past plus all of x, adds the complexity of
     x alone, and a length-ratio term in the log base of x's alphabet so that
-    joint(x, x) == simple(x).  Both factorizations share one index over
-    the pair.
+    joint(x, x) == simple(x).
     """
     x, y = bytes(x), bytes(y)
     ax = len(set(x))
     if ax < 2:
         raise ValueError("undefined log base")
-    index = Index((x, y))
-    cond = conditional_complexity(y, Context((x,), Mode.PAST_AND_SOURCES, index), f)
-    alone = conditional_complexity(x, Context((x,), Mode.SOURCE_PAST, index), f)
+    cond = conditional_complexity(y, Context((x,), Mode.PAST_AND_SOURCES), f)
+    alone = simple_complexity(x, f)
     return cond.value + alone.value + math.log(len(x) / len(y), ax)
 
 

@@ -35,7 +35,8 @@ KEY_BITS = 63
 #: Pairs still matching, at most this many, that the LCP build finishes one by one.
 GALLOP = 32
 
-_INF = np.iinfo(np.int32).max
+#: Longest string whose positions the index's int32 arrays can address.
+MAX_LENGTH = _INF = np.iinfo(np.int32).max
 
 
 def _segmin(values: np.ndarray, starts: np.ndarray, carry: int) -> np.ndarray:
@@ -281,10 +282,14 @@ def _suffix_array(strings: tuple[bytes, ...]) -> tuple[np.ndarray, np.ndarray]:
                 _sort_block(rank, head, key[: b - a], a, b, k, rb, ib)
             a = b
         k *= 2
-    halves = key.view(np.int32)
-    for lo in range(0, n, CHUNK):
-        halves[rank[lo : lo + CHUNK]] = np.arange(lo, min(lo + CHUNK, n), dtype=np.int32)
-    return halves, rank
+    return _invert(rank, key.view(np.int32)), rank
+
+
+def _invert(perm: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[perm[i]] = i for every i, scattered CHUNK at a time; returns out."""
+    for lo in range(0, len(perm), CHUNK):
+        out[perm[lo : lo + CHUNK]] = np.arange(lo, min(lo + CHUNK, len(perm)), dtype=np.int32)
+    return out
 
 
 def _sort_block(rank, head, key, a: int, b: int, k: int, rb: int, ib: int) -> None:
@@ -403,23 +408,23 @@ class Index:
     against one source in turn (as nsd_matrix does) makes one pass per
     source; one index then serves a whole corpus.
 
-    With all_pairs, a target's longest aligned match over the pasts of all
-    strings but at most one (best_aligned) comes from one sweep over the
-    whole index on first use, with one nearest pass per bit for all strings
-    together.  It keeps three entries per indexed byte: the longest match
-    over all strings, a string giving it and the longest over the others.
-    The sweep takes over the index's arrays (a later request for a match
-    array builds them again).
+    A target's longest aligned match over the pasts of all strings but at
+    most one (best_aligned) comes from one sweep over the whole index on
+    first use, with one nearest pass per bit for all strings together.  It
+    keeps three entries per indexed byte: the longest match over all
+    strings, a string giving it and the longest over the others.  The sweep
+    takes over the index's arrays (a later request for a match array builds
+    them again).  best_matches takes it only for an index shared across
+    factorizations, where it serves many terms.
     """
 
-    def __init__(self, strings, all_pairs: bool = False):
+    def __init__(self, strings):
         self._ids: dict[bytes, int] = {}
         for s in strings:
             self._ids.setdefault(bytes(s), len(self._ids))
         self.strings = tuple(self._ids)
         self._starts = np.cumsum([0] + [len(s) + 1 for s in self.strings[:-1]])
         self._sa = self._best = None
-        self._all_pairs = all_pairs
         self._target, self._cache = None, {}
         self._row_of = self._row = None
 
@@ -524,16 +529,19 @@ class Index:
 
         at is ascending, and each match must exist.  The suffixes that share
         at least length with the target's suffix form one run of the suffix
-        array around its rank; the start is the smallest position among the
-        region's suffixes there.  For an aligned region (or the own past)
-        that start is below the limit, as the match found lies in the run.
+        array around its rank, read from the inverse suffix array (made
+        here: 4 bytes per indexed byte); the start is the smallest position
+        among the region's suffixes there.  For an aligned region (or the
+        own past) it is below the limit, as the match found lies in the run.
         """
         if not len(at):
             return np.zeros(0, np.int64)
         if self._sa is None:
             self._build()
         n = len(self._sa)
-        rank = self._ranks(t, at)
+        inverse = _invert(self._sa, np.empty(self._starts[-1] + len(self.strings[-1]), np.int32))
+        rank = inverse[self._starts[t] + at].astype(np.int64)  # int64: _run_starts doubles past n
+        del inverse
         order = np.argsort(rank)  # _run_starts and _block_min take the runs in order
         rank, length, region = rank[order], length[order], region[order]
         first = _run_starts(self._lcp, rank, length)
@@ -541,26 +549,6 @@ class Index:
         out = np.empty(len(at), np.int64)
         out[order] = self._run_minima(first, last, region)
         return out
-
-    def _ranks(self, t: int, at: np.ndarray) -> np.ndarray:
-        """Rank of the suffix of strings[t] at each of at (ascending), by one pass over _sa.
-
-        A table of buckets, 8 to 32 per position sought, picks the few
-        candidates in each chunk; a binary search then checks them.
-        """
-        want = self._starts[t] + at
-        top = int(self._starts[-1]) + len(self.strings[-1])
-        shift = max(top.bit_length() - (16 * len(want)).bit_length(), 0)
-        bucket = np.zeros((top >> shift) + 1, bool)
-        bucket[want >> shift] = True
-        rank = np.empty(len(at), np.int64)
-        for lo in range(0, len(self._sa), CHUNK):
-            c = lo + np.flatnonzero(bucket[self._sa[lo : lo + CHUNK] >> shift])
-            pos = self._sa[c]
-            k = np.minimum(np.searchsorted(want, pos), len(want) - 1)
-            hit = want[k] == pos
-            rank[k[hit]] = c[hit]
-        return rank
 
     def _run_minima(self, first: np.ndarray, last: np.ndarray, region: np.ndarray) -> np.ndarray:
         """Smallest position in strings[region] of a suffix of ranks first..last, for each run.
@@ -645,11 +633,11 @@ def best_matches(target: bytes, regions: list[bytes], whole: list[bool], index: 
     region with the longest match and the leftmost start of that match;
     length is its length there (best[at]), passed back so that where need
     not keep best.  regions are in tie-break order; index, if given, must
-    hold the target and every region.  An all_pairs index serves the
-    aligned pasts of all its strings but at most one from its sweep; the
-    first regions, read only for the symbols, then come from the per-pair
-    arrays.  An index made here lives as long as where, without its match
-    arrays.
+    hold the target and every region.  A shared index serves the aligned
+    pasts (no region whole) of all its strings but at most one from its
+    sweep; the first regions, read only for the symbols, then come from
+    the per-pair arrays.  An index made here takes the per-pair arrays and
+    lives as long as where, without its match arrays.
     """
     n = len(target)
     if (n + 1) * sum(len(s) + 1 for s in regions) <= DENSE_CELLS:
@@ -660,7 +648,7 @@ def best_matches(target: bytes, regions: list[bytes], whole: list[bool], index: 
     t = index.id(target)
     ids = [index.id(s) for s in regions]
     left_out = set(range(len(index.strings))).difference(ids)
-    if index._all_pairs and not any(whole) and len(left_out) <= 1:
+    if not private and not any(whole) and len(left_out) <= 1:
         best, which = index.best_aligned(t, *left_out), None
     else:
         best, which = _first_best(index, t, ids, whole)

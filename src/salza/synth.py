@@ -15,6 +15,7 @@ import numpy as np
 
 from .directed import StringSet, _has_cycle
 from .estimators import Estimate, estimate_from_lengths, sigmoid_function, threshold_function
+from .index import MAX_LENGTH
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -38,8 +39,8 @@ class MarkovSpec:
             raise ValueError("transition matrix shape does not match alphabet")
         if np.any(m < 0) or np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("transition matrix rows must sum to 1")
-        if self.length < 1:
-            raise ValueError("length must be positive")
+        if not 1 <= self.length <= MAX_LENGTH:
+            raise ValueError(f"length must be in [1, {MAX_LENGTH}]")
 
 
 def generate_markov(spec: MarkovSpec) -> bytes:
@@ -89,8 +90,8 @@ class DagSpec:
         # edge j -> i whenever process i copies from process j
         if _has_cycle(n, [(j, i, 0.0) for i, j in zip(*np.nonzero(m[:, :n]))]):
             raise ValueError("connectivity must be acyclic")
-        if self.length < 1:
-            raise ValueError("length must be positive")
+        if not 1 <= self.length <= MAX_LENGTH:
+            raise ValueError(f"length must be in [1, {MAX_LENGTH}]")
         if not 2 <= self.alphabet_size <= 256:
             raise ValueError("alphabet size must be in [2, 256]")
         if self.burn_in < 0:

@@ -345,13 +345,21 @@ def _markov_spec(line):
     (["simulate"], "mu nan\nl0 6\nlength 1024\n", "simulate", "mu"),
     (["simulate"], "mu inf\nl0 6\nlength 1024\n", "simulate", "mu"),
     (["simulate"], "mu 5,-1\nl0 6\nlength 1024\n", "simulate", "mu"),
+    (["gen", "markov"], _markov_spec("length 1e300"), "markov", "length"),
+    (["gen", "markov"], _markov_spec("length 2147483648"), "markov", "length"),
+    (["gen", "dag"], DAG_SPEC.replace("length 100", "length 1e300"), "dag", "length"),
+    (["gen", "dag"], DAG_SPEC.replace("length 100", "length 2147483648"), "dag", "length"),
+    (["simulate"], "mu 5\nl0 6\nlength 1024,1e3.5\n", "simulate", "length"),
+    (["simulate"], "mu 5,x\nl0 6\nlength 1024\n", "simulate", "mu"),
 ], ids=["markov-realizations-negative", "markov-realizations-0", "markov-realizations-fraction",
         "markov-seed-negative", "markov-length-not-a-number", "markov-alphabet-fraction",
         "dag-length-not-a-number", "dag-seed-negative", "dag-burnin-fraction",
         "simulate-trials-fraction", "simulate-length-fraction", "simulate-seed-negative",
         "dag-scale-inf", "dag-scale-nan", "dag-scale-negative", "dag-alphabet-300",
         "dag-alphabet-1", "dag-burnin-negative", "simulate-mu-nan", "simulate-mu-inf",
-        "simulate-mu-negative"])
+        "simulate-mu-negative", "markov-length-1e300", "markov-length-2**31",
+        "dag-length-1e300", "dag-length-2**31", "simulate-length-not-a-number",
+        "simulate-mu-not-a-number"])
 def test_bad_spec_value_is_one_line_error(runner, tmp_path, command, text, kind, key):
     spec = tmp_path / "bad.spec"
     spec.write_text(text)
@@ -372,15 +380,17 @@ def _computing_fails(exc):
         yield
 
 
-def _bad_table(tmp_path):
+def _bad_table(tmp_path, text="3 0.2 9\n"):
     table = tmp_path / "steps.txt"
-    table.write_text("3 0.2 9\n")
+    table.write_text(text)
     return f"table:{table}"
 
 
 @pytest.mark.parametrize("make_args", [
     lambda f, d: ["nsd", *f, "--func", f"table:{d}/missing", "--out", f"{d}/d.tsv"],
     lambda f, d: ["nsd", *f, "--func", _bad_table(d), "--out", f"{d}/d.tsv"],
+    lambda f, d: ["nsd", *f, "--func", _bad_table(d, "3 0.2\n1" + "0" * 400 + " 1.0\n"), "--out", f"{d}/d.tsv"],
+    lambda f, d: ["nsd", *f, "--func", _bad_table(d, "3 0.2\n2147483648 1.0\n"), "--out", f"{d}/d.tsv"],
     lambda f, d: ["nsd", *f, "--out", f"{d}/missing/d.tsv"],
     lambda f, d: ["causality", *f, "--out", f"{d}/missing/g.dot"],
     lambda f, d: ["factorize", *f, "--out", f"{d}/missing/f.tsv"],
@@ -388,8 +398,8 @@ def _bad_table(tmp_path):
     lambda f, d: ["gen", "dag", f"{d}/missing.spec", "--out-dir", str(d)],
     lambda f, d: ["simulate", f"{d}/missing.spec"],
     lambda f, d: ["cluster", f"{d}/missing.tsv", "--out", f"{d}/t.nwk"],
-], ids=["missing-table", "bad-table-line", "nsd-out", "causality-out", "factorize-out",
-        "markov-spec", "dag-spec", "simulate-spec", "cluster-matrix"])
+], ids=["missing-table", "bad-table-line", "table-length-1e400", "table-length-2**31", "nsd-out",
+        "causality-out", "factorize-out", "markov-spec", "dag-spec", "simulate-spec", "cluster-matrix"])
 def test_bad_file_is_one_line_error(runner, tmp_path, make_args):
     files = write_corpus(tmp_path, {"x": SAMPLE["alpha"], "y": SAMPLE["beta"]})
     # an output path is checked before any cell is computed

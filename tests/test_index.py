@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracle import find_offsets, naive_factorize
 from salza import DagSpec, StringSet, generate_dag_processes, index
 from salza.directed import directed_info_matrix
-from salza.estimators import conditional_complexity, nsd, nsd_matrix
+from salza.estimators import conditional_complexity, joint_complexity, nsd, nsd_matrix
 from salza.lz import Context, Mode, decode, factorize
 
 # Module settings that force each kernel; CHUNK = 3 makes every scan carry
@@ -311,7 +311,7 @@ def test_all_pairs_sweep_equals_per_pair_arrays(chunk):
     sets = _string_sets(rng, big=False) + (_string_sets(rng, big=True) if chunk == index.CHUNK else [])
     with mock.patch.object(index, "CHUNK", chunk):
         for strings in sets:
-            sweep, pairs = index.Index(strings, all_pairs=True), index.Index(strings)
+            sweep, pairs = index.Index(strings), index.Index(strings)
             m = len(sweep.strings)
             assert m < len(strings)
             for t, target in enumerate(sweep.strings):
@@ -363,6 +363,43 @@ def test_causal_matrix_takes_one_sweep(kind, sweeps, pair_runs):
     assert pair.call_count == pair_runs  # the full kind: each target's own past, once
 
 
+def _counting_sweeps():
+    return mock.patch.object(index.Index, "_sweep", autospec=True, side_effect=index.Index._sweep)
+
+
+def test_joint_complexity_runs_no_sweep():
+    x, y = _strings(19, 2, 400)
+    assert (len(y) + 1) * (2 * len(x) + 2) > index.DENSE_CELLS
+    with _counting_sweeps() as sweep:
+        joint_complexity(x, y)
+    assert sweep.call_count == 0
+
+
+def test_private_index_runs_no_sweep():
+    a, b, y = _strings(20, 3, 400)
+    context = Context((a, b), Mode.PAST_OF_BOTH)
+    with mock.patch.object(index, "DENSE_CELLS", 0), _counting_sweeps() as sweep:
+        f = factorize(y, context)
+    assert sweep.call_count == 0
+    assert f == naive_factorize(y, context)
+
+
+def test_aligned_terms_on_a_shared_index_run_one_sweep():
+    strings = _strings(21, 3, 400)
+    idx = index.Index(strings)
+    terms = [(2, (0, 1)), (2, (0,)), (2, (1,)), (0, (1, 2)), (1, (2,))]  # at most one string left out
+
+    def context(ks, idx=None):
+        return Context(tuple(strings[k] for k in ks), Mode.PAST_OF_BOTH, idx)
+
+    with mock.patch.object(index, "DENSE_CELLS", 0):
+        with _counting_sweeps() as sweep:
+            got = [factorize(strings[t], context(ks, idx)) for t, ks in terms]
+        assert sweep.call_count == 1
+        for f, (t, ks) in zip(got, terms):
+            assert f == naive_factorize(strings[t], context(ks))
+
+
 def _tied_sources(duplicates):
     """A target whose planted block two sources hold at earlier positions, so that they tie for it.
 
@@ -401,8 +438,8 @@ def test_causal_matrix_with_tied_and_equal_sources_equals_terms(duplicates):
         a, b = pairs.matches(0, 1, whole=False), pairs.matches(0, 2, whole=False)
         assert np.any((a == b) & (a > 80))  # the tie
         # a term the sweep serves, down to its symbols' sources and offsets
-        idx = index.Index(strings, all_pairs=True)
-        with mock.patch.object(index.Index, "_sweep", autospec=True, side_effect=index.Index._sweep) as sweep:
+        idx = index.Index(strings)
+        with _counting_sweeps() as sweep:
             f = factorize(strings[0], context(0, 1, idx))
         assert sweep.call_count == 1
         assert f == naive_factorize(strings[0], context(0, 1))
@@ -464,7 +501,7 @@ def test_offsets_are_leftmost_starts(chunk):
 @pytest.mark.parametrize("chunk", [index.CHUNK, 3])
 def test_causal_term_offsets_after_the_sweep(chunk):
     strings = _tied_sources(duplicates=True)
-    idx = index.Index(strings, all_pairs=True)
+    idx = index.Index(strings)
     terms = []
     with mock.patch.object(index, "DENSE_CELLS", 0):
         for j, skip in [(0, 1), (0, None), (1, 0), (3, 2)]:

@@ -24,7 +24,7 @@ from .estimators import (
     table_function,
     threshold_function,
 )
-from .lz import Context, Factorization, Mode, Symbol, decode, factorize, reference_lengths
+from .lz import Context, Factorization, Mode, Symbol, decode, factorize
 from .synth import (
     DagSpec,
     LengthProfileSpec,
@@ -63,7 +63,6 @@ __all__ = [
     "neighbor_joining",
     "nsd",
     "nsd_matrix",
-    "reference_lengths",
     "sigmoid_function",
     "simple_complexity",
     "table_function",

@@ -12,13 +12,14 @@ element's match with the last marked element before it, the running
 minimum of the LCP since the mark, carried across CHUNK-sized pieces.  The
 scan down the sequence is the same scan up its reversed views.
 
-A reference's leftmost start comes from the run of the suffix array that
-shares its match (Index.leftmost), or from the dense kernel's first column.
+A reference's region and leftmost start both come from one minimum over
+the run of the suffix array that shares its match (Index.leftmost), or
+from the dense kernel's first column with the longest match.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -413,9 +414,9 @@ class Index:
     first use, with one nearest pass per bit for all strings together.  It
     keeps three entries per indexed byte: the longest match over all
     strings, a string giving it and the longest over the others.  The sweep
-    takes over the index's arrays (a later request for a match array builds
-    them again).  best_matches takes it only for an index shared across
-    factorizations, where it serves many terms.
+    takes over the index's arrays; the first later request for a match array
+    or leftmost builds them again.  best_matches takes it only for an index
+    shared across factorizations, where it serves many terms.
     """
 
     def __init__(self, strings):
@@ -426,13 +427,20 @@ class Index:
         self._starts = np.cumsum([0] + [len(s) + 1 for s in self.strings[:-1]])
         self._sa = self._best = None
         self._target, self._cache = None, {}
-        self._row_of = self._row = None
+        self._row_of = self._row = self._letters = None
 
     def id(self, s: bytes) -> int:
         try:
             return self._ids[s]
         except KeyError:
             raise ValueError("string not in index") from None
+
+    def alphabet(self, strings) -> frozenset[int]:
+        """The bytes that occur in any of strings, from each string's letters, found once."""
+        if self._letters is None:
+            self._letters = np.array([np.bincount(np.frombuffer(s, np.uint8), minlength=256) > 0
+                                      for s in self.strings])
+        return frozenset(np.flatnonzero(self._letters[[self.id(s) for s in strings]].any(axis=0)).tolist())
 
     def _build(self) -> None:
         m = len(self.strings)
@@ -524,18 +532,18 @@ class Index:
         v1.flags.writeable = False  # best_aligned hands out views of it
         return v1, r1, v2
 
-    def leftmost(self, t: int, at: np.ndarray, length: np.ndarray, region: np.ndarray) -> np.ndarray:
-        """Leftmost start in strings[region] of the match of length with strings[t] at each of at.
+    def leftmost(self, t: int, at: np.ndarray, length: np.ndarray, ids: list[int], whole: list[bool]):
+        """First region and leftmost start of the match of length with strings[t] at each of at.
 
-        at is ascending, and each match must exist.  The suffixes that share
-        at least length with the target's suffix form one run of the suffix
-        array around its rank, read from the inverse suffix array (made
-        here: 4 bytes per indexed byte); the start is the smallest position
-        among the region's suffixes there.  For an aligned region (or the
-        own past) it is below the limit, as the match found lies in the run.
+        The regions, strings[ids[k]] in tie-break order, are whole or aligned
+        (starts below at).  at is ascending, and each match must exist.  The
+        suffixes that share at least length with the target's suffix form one
+        run of the suffix array around its rank, read from the inverse suffix
+        array (made here: 4 bytes per indexed byte).  The smallest key
+        (first region permitting it, position) of the run's suffixes gives both.
         """
         if not len(at):
-            return np.zeros(0, np.int64)
+            return np.zeros(0, np.int64), np.zeros(0, np.int64)
         if self._sa is None:
             self._build()
         n = len(self._sa)
@@ -543,31 +551,37 @@ class Index:
         rank = inverse[self._starts[t] + at].astype(np.int64)  # int64: _run_starts doubles past n
         del inverse
         order = np.argsort(rank)  # _run_starts and _block_min take the runs in order
-        rank, length, region = rank[order], length[order], region[order]
+        rank, length = rank[order], length[order]
         first = _run_starts(self._lcp, rank, length)
         last = n - 1 - _run_starts(self._lcp[::-1], n - 1 - rank[::-1], length[::-1])[::-1]
-        out = np.empty(len(at), np.int64)
-        out[order] = self._run_minima(first, last, region)
-        return out
+        kw, ka = np.full((2, len(self.strings)), len(ids))  # each string's first whole, aligned region
+        for k in reversed(range(len(ids))):
+            (kw if whole[k] else ka)[ids[k]] = k
+        key = np.empty(len(at), np.int64)
+        key[order] = self._run_minima(first, last, at[order], kw, np.minimum(kw, ka))
+        return key >> 32, key & 0xFFFFFFFF
 
-    def _run_minima(self, first: np.ndarray, last: np.ndarray, region: np.ndarray) -> np.ndarray:
-        """Smallest position in strings[region] of a suffix of ranks first..last, for each run.
+    def _run_minima(self, first, last, limit, kw, kany) -> np.ndarray:
+        """Smallest (region << 32) + position of a suffix of ranks first..last, for each run.
 
-        The runs' elements are read CHUNK at a time, each piece taking
+        A suffix of string i is in region kany[i] below the run's limit, else
+        kw[i].  The runs' elements are read CHUNK at a time, each piece taking
         each run's part of it by one minimum.reduceat.
         """
         size = last - first + 1
         ends = np.cumsum(size)
-        out = np.full(len(first), _INF, np.int64)
+        out = np.full(len(first), np.iinfo(np.int64).max)
         for lo in range(0, int(ends[-1]), CHUNK):
             e = np.arange(lo, min(lo + CHUNK, int(ends[-1])))
             k = np.searchsorted(ends, e, side="right")  # the run of each element
             rank = first[k] + e - (ends[k] - size[k])
-            r = region[k]
-            pos = np.where(self._sid[rank] == r, self._sa[rank] - self._starts[r], _INF)
+            sid = self._sid[rank]
+            pos = self._sa[rank] - self._starts[sid]
+            key = np.where(pos < limit[k], kany[sid], kw[sid]) << 32
+            key += pos
             heads = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
             k = k[heads]
-            out[k] = np.minimum(out[k], np.minimum.reduceat(pos, heads))
+            out[k] = np.minimum(out[k], np.minimum.reduceat(key, heads))
         return out
 
     def _gather(self, t: int, r: int, limit: int):
@@ -635,38 +649,23 @@ def best_matches(target: bytes, regions: list[bytes], whole: list[bool], index: 
     not keep best.  regions are in tie-break order; index, if given, must
     hold the target and every region.  A shared index serves the aligned
     pasts (no region whole) of all its strings but at most one from its
-    sweep; the first regions, read only for the symbols, then come from
-    the per-pair arrays.  An index made here takes the per-pair arrays and
-    lives as long as where, without its match arrays.
+    sweep, and other requests from the per-pair arrays; where is
+    Index.leftmost.  An index made here lives as long as where, without its
+    match arrays.
     """
     n = len(target)
     if (n + 1) * sum(len(s) + 1 for s in regions) <= DENSE_CELLS:
-        best, which, start = _dense(target, regions, whole)
-        return best, lambda at, length: (which[at], start[at])
+        best, region, start = _dense(target, regions, whole)
+        return best, lambda at, length: (region[at], start[at])
     private = index is None
     index = index or Index([target] + regions)
     t = index.id(target)
     ids = [index.id(s) for s in regions]
     left_out = set(range(len(index.strings))).difference(ids)
     if not private and not any(whole) and len(left_out) <= 1:
-        best, which = index.best_aligned(t, *left_out), None
+        best = index.best_aligned(t, *left_out)
     else:
-        best, which = _first_best(index, t, ids, whole)
+        best = reduce(np.maximum, [index.matches(t, r, w) for r, w in zip(ids, whole)])
         if private:  # the offsets need only the suffix array
             index._target, index._cache, index._row_of, index._row = None, {}, None, None
-
-    def where(at, length):
-        region = (_first_best(index, t, ids, whole)[1] if which is None else which)[at]
-        return region, index.leftmost(t, at, length, np.take(ids, region))
-
-    return best, where
-
-
-def _first_best(index: Index, t: int, ids: list[int], whole: list[bool]):
-    """best_matches from the match array of each region in turn."""
-    matches = [index.matches(t, r, w) for r, w in zip(ids, whole)]
-    best, which = matches[0], np.zeros(len(matches[0]), np.min_scalar_type(len(ids)))
-    for k, match in enumerate(matches[1:], 1):
-        which[match > best] = k  # only a longer match moves on from the earlier region
-        best = np.maximum(best, match)
-    return best, which
+    return best, lambda at, length: index.leftmost(t, at, length, ids, whole)

@@ -86,10 +86,12 @@ class Context:
         """Union alphabet of the reference regions.
 
         Modes that include the target's own past contribute the target's
-        alphabet as well.
+        alphabet as well.  A shared index finds each string's letters once.
         """
-        regions = b"".join(self.sources + (target,) * self.uses_own_past)
-        return frozenset(np.bincount(np.frombuffer(regions, np.uint8)).nonzero()[0].tolist())
+        regions = self.sources + (target,) * self.uses_own_past
+        if self.index is not None:
+            return self.index.alphabet(regions)
+        return frozenset(np.bincount(np.frombuffer(b"".join(regions), np.uint8)).nonzero()[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,3 @@ def decode(f: Factorization, context: Context) -> bytes:
         raise ValueError("corrupt factorization")
     return bytes(out)
 
-
-def reference_lengths(f: Factorization) -> list[int]:
-    """Multiset of all symbol lengths; literals contribute 1."""
-    return list(f.lengths)

@@ -41,21 +41,25 @@ def naive_factorize(target: bytes, context: Context) -> Factorization:
     return Factorization(symbols=tuple(symbols), target_length=n, mode=context.mode)
 
 
-def find_offsets(target: bytes, context: Context, lengths, which) -> list[int]:
-    """Leftmost start of each reference, by bytes.find over its region.
+def find_references(target: bytes, context: Context, lengths) -> list[tuple[int, int]]:
+    """Source and leftmost start of each reference, by bytes.find over the regions in turn.
 
-    lengths are the symbol lengths of a parse of target (1 for a literal),
-    which the source of each reference in order (SELF or a source index).
-    A start must lie below the region's limit at the reference's position.
-    Fast enough for inputs of some kB, where naive_factorize is not.
+    lengths are the symbol lengths of a parse of target (1 for a literal).
+    Each reference goes to the first region in tie-break order (SELF, then
+    the sources in order) whose permitted part holds it, at its leftmost
+    start there: a start must lie below the region's limit at the
+    reference's position.  Fast enough for inputs of some kB, where
+    naive_factorize is not.
     """
-    sources = iter(which)
+    regions = [(SELF, target)] * context.uses_own_past + list(enumerate(context.sources))
     out, t = [], 0
     for length in lengths:
         if length > 1:
-            k = next(sources)
-            s = target if k == SELF else context.sources[k]
-            avail = len(s) if k != SELF and context.uses_whole_sources else min(t, len(s))
-            out.append(s.find(target[t : t + length], 0, avail - 1 + length))
+            for k, s in regions:
+                avail = len(s) if k != SELF and context.uses_whole_sources else min(t, len(s))
+                p = s.find(target[t : t + length], 0, avail - 1 + length)
+                if p >= 0:
+                    out.append((k, p))
+                    break
         t += length
     return out

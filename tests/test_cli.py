@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from oracle import find_offsets
+from oracle import find_references
 from salza.cli import main
 from salza.lz import SELF, Context, Factorization, Mode, Symbol, decode
 from salza.tsv import read_matrix
@@ -286,7 +286,7 @@ class TestFactorize:
         assert decode(f, context) == y
         refs = [sym for sym in symbols if not sym.is_literal]
         assert refs[0] == Symbol(length=8192, source=0, offset=8192)  # b, found in x after a
-        assert [sym.offset for sym in refs] == find_offsets(y, context, f.lengths, [sym.source for sym in refs])
+        assert [(sym.source, sym.offset) for sym in refs] == find_references(y, context, f.lengths)
 
     def test_mode_validation_error(self, runner, tmp_path):
         t = tmp_path / "t"

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import find_offsets, naive_factorize
+from oracle import find_references, naive_factorize
 from salza import DagSpec, StringSet, generate_dag_processes, index
 from salza.directed import directed_info_matrix
-from salza.estimators import conditional_complexity, joint_complexity, nsd, nsd_matrix
+from salza.estimators import conditional_complexity, joint_complexity, meaningful_cutoff, nsd, nsd_matrix
 from salza.lz import Context, Mode, decode, factorize
 
 # Module settings that force each kernel; CHUNK = 3 makes every scan carry
@@ -79,6 +79,22 @@ def test_nsd_shared_index_equals_separate_estimates():
             ab = conditional_complexity(a, Context((b,), Mode.SOURCE_ALL)).value
             ba = conditional_complexity(b, Context((a,), Mode.SOURCE_ALL)).value
             assert nsd(a, b) == max(ab, ba)
+
+
+def test_cutoffs_on_a_shared_index_equal_those_without():
+    """The index finds each string's letters once; every term's alphabet and cutoff stay the same."""
+    rng = np.random.default_rng(22)
+    strings = [b"a" * 50, b"ab" * 30, rng.integers(0, 256, 300, dtype=np.uint8).tobytes(), bytes(range(3, 9))]
+    strings.append(strings[0])  # a string given twice
+    idx = index.Index(strings)
+    for target in strings:
+        for sources in [(s,) for s in strings] + [tuple(strings), tuple(strings[1:])]:
+            for mode in Mode:
+                if mode is Mode.SOURCE_PAST and len(sources) != 1:
+                    continue
+                shared, alone = Context(sources, mode, idx), Context(sources, mode)
+                assert shared.alphabet(target) == alone.alphabet(target)
+                assert meaningful_cutoff(target, shared).hex() == meaningful_cutoff(target, alone).hex()
 
 
 def _nsd_corpus():
@@ -363,14 +379,15 @@ def test_causal_matrix_takes_one_sweep(kind, sweeps, pair_runs):
     assert pair.call_count == pair_runs  # the full kind: each target's own past, once
 
 
-def _counting_sweeps():
-    return mock.patch.object(index.Index, "_sweep", autospec=True, side_effect=index.Index._sweep)
+def _counting(method="_sweep"):
+    """Counts the calls to an Index method, the sweep by default."""
+    return mock.patch.object(index.Index, method, autospec=True, side_effect=getattr(index.Index, method))
 
 
 def test_joint_complexity_runs_no_sweep():
     x, y = _strings(19, 2, 400)
     assert (len(y) + 1) * (2 * len(x) + 2) > index.DENSE_CELLS
-    with _counting_sweeps() as sweep:
+    with _counting() as sweep:
         joint_complexity(x, y)
     assert sweep.call_count == 0
 
@@ -378,7 +395,7 @@ def test_joint_complexity_runs_no_sweep():
 def test_private_index_runs_no_sweep():
     a, b, y = _strings(20, 3, 400)
     context = Context((a, b), Mode.PAST_OF_BOTH)
-    with mock.patch.object(index, "DENSE_CELLS", 0), _counting_sweeps() as sweep:
+    with mock.patch.object(index, "DENSE_CELLS", 0), _counting() as sweep:
         f = factorize(y, context)
     assert sweep.call_count == 0
     assert f == naive_factorize(y, context)
@@ -393,7 +410,7 @@ def test_aligned_terms_on_a_shared_index_run_one_sweep():
         return Context(tuple(strings[k] for k in ks), Mode.PAST_OF_BOTH, idx)
 
     with mock.patch.object(index, "DENSE_CELLS", 0):
-        with _counting_sweeps() as sweep:
+        with _counting() as sweep:
             got = [factorize(strings[t], context(ks, idx)) for t, ks in terms]
         assert sweep.call_count == 1
         for f, (t, ks) in zip(got, terms):
@@ -439,7 +456,7 @@ def test_causal_matrix_with_tied_and_equal_sources_equals_terms(duplicates):
         assert np.any((a == b) & (a > 80))  # the tie
         # a term the sweep serves, down to its symbols' sources and offsets
         idx = index.Index(strings)
-        with _counting_sweeps() as sweep:
+        with _counting() as sweep:
             f = factorize(strings[0], context(0, 1, idx))
         assert sweep.call_count == 1
         assert f == naive_factorize(strings[0], context(0, 1))
@@ -467,10 +484,13 @@ def test_causal_matrix_memory_grows_with_bytes_not_strings():
 
 
 def _assert_offsets_leftmost(target, context, f):
-    """f's references start where bytes.find first finds them, as Python ints, and f decodes."""
+    """f's references come from the first region bytes.find finds them in, at its leftmost start.
+
+    The sources and offsets are Python ints, and f decodes.
+    """
     refs = [sym for sym in f.symbols if not sym.is_literal]
-    assert [sym.offset for sym in refs] == find_offsets(target, context, f.lengths, [sym.source for sym in refs])
-    assert all(type(sym.offset) is int for sym in refs)  # not np.int64: repr(f) depends on it
+    assert [(sym.source, sym.offset) for sym in refs] == find_references(target, context, f.lengths)
+    assert all(type(sym.source) is type(sym.offset) is int for sym in refs)  # not np.int64: repr(f) depends on it
     assert decode(f, context) == target
 
 
@@ -509,10 +529,14 @@ def test_causal_term_offsets_after_the_sweep(chunk):
             context = Context(others, Mode.PAST_OF_BOTH, idx)
             terms.append((strings[j], context, factorize(strings[j], context)))
         assert idx._best is not None and idx._sa is None  # the sweep took the index's arrays
-        with mock.patch.object(index, "CHUNK", chunk):
+        with mock.patch.object(index, "CHUNK", chunk), _counting("_aligned") as aligned, \
+                _counting("_build") as build:
             for target, context, f in terms:
                 _assert_offsets_leftmost(target, context, f)
-                assert f == naive_factorize(target, context)
+        # the symbols need no per-pair match array, and one rebuild serves all the terms
+        assert aligned.call_count == 0 and build.call_count == 1
+        for target, context, f in terms:
+            assert f == naive_factorize(target, context)
 
 
 def test_private_index_lives_until_symbols_are_made():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import naive_factorize
-from salza.lz import SELF, Context, Mode, decode, factorize, reference_lengths
+from salza.lz import SELF, Context, Mode, decode, factorize
 
 ALL_MODES = list(Mode)
 
@@ -118,23 +118,23 @@ class TestReferenceLengths:
     def test_single_symbol_case(self):
         x = b"some repeated text!"
         f = factorize(x, ctx([x], Mode.SOURCE_ALL))
-        assert reference_lengths(f) == [len(x)]
+        assert f.lengths == [len(x)]
 
     def test_all_literals(self):
         target = bytes([1, 2, 3, 1, 2])
         f = factorize(target, ctx([bytes([9, 8, 7, 9, 8])], Mode.SOURCE_ALL))
-        assert reference_lengths(f) == [1] * 5
+        assert f.lengths == [1] * 5
 
     def test_mixed(self):
         f = factorize(b"abcabcabd", ctx([], Mode.PAST_OF_BOTH))
-        assert reference_lengths(f) == [1, 1, 1, 5, 1]
+        assert f.lengths == [1, 1, 1, 5, 1]
 
     def test_length_conservation(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             target = rng.integers(0, 3, rng.integers(1, 200), dtype=np.uint8).tobytes()
             f = factorize(target, ctx([], Mode.PAST_OF_BOTH))
-            assert sum(reference_lengths(f)) == len(target)
+            assert sum(f.lengths) == len(target)
 
 
 @st.composite
@@ -165,7 +165,7 @@ def test_round_trip_property(case):
     target, context = case
     f = factorize(target, context)
     assert decode(f, context) == target
-    assert sum(reference_lengths(f)) == len(target)
+    assert sum(f.lengths) == len(target)
 
 
 def test_monotone_context_growth():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import warnings
 from pathlib import Path
 
 import click
@@ -125,13 +126,21 @@ threads_option = click.option("--threads", type=str, default=None, metavar="INTE
                               help="Accepted for compatibility; cells are computed serially.")
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    click.echo(f"warning: {message}", err=True)
+
+
 class _Main(click.Group):
     """Reports a ValueError or OSError from any command (bad user input: a bad
-    value, a missing or unwritable file) as a one-line `Error:`, status 1."""
+    value, a missing or unwritable file) as a one-line `Error:`, status 1, and
+    a warning from the library as a one-line `warning:`; the warning filters
+    stay as they are."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            with warnings.catch_warnings():
+                warnings.showwarning = _show_warning
+                return super().invoke(ctx)
         except BrokenPipeError:
             raise  # a closed stdout: click exits quietly
         except (OSError, ValueError) as exc:

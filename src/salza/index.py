@@ -13,8 +13,8 @@ minimum of the LCP since the mark, carried across CHUNK-sized pieces.  The
 scan down the sequence is the same scan up its reversed views.
 
 A reference's region and leftmost start both come from one minimum over
-the run of the suffix array that shares its match (Index.leftmost), or
-from the dense kernel's first column with the longest match.
+the run of the suffix array that shares its match (Index.leftmost), for
+every input: the dense kernel gives only the match lengths.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def _nearest(out, pos, lcp, points, queries) -> None:
             out[at] = np.maximum(out[at], w[q])
 
 
-def _nearest_regions(best, pos, lcp, sid, points, queries) -> None:
-    """Merge into best, at pos[q], each query's longest match with the points, by string.
+def _nearest_regions(best, starts, pos, lcp, sid, points, queries) -> None:
+    """Merge into best, at starts[sid] + pos, each query's longest match with the points, by string.
 
     best is three arrays: v1, the longest match with any string's points;
     r1, a string giving it; v2, the longest with any other string's.  On
@@ -153,7 +153,7 @@ def _nearest_regions(best, pos, lcp, sid, points, queries) -> None:
             q = queries[s]
             k = np.cumsum(here)[q]  # the nearest point, in r and h (0: one in an earlier chunk)
             a1 = w[q]
-            _merge(best, pos[s][q], a1, r[k], np.minimum(h[k], a1))
+            _merge(best, starts[sid[s][q]] + pos[s][q], a1, r[k], np.minimum(h[k], a1))
 
 
 def _merge(best, at, a1, ra, a2) -> None:
@@ -180,17 +180,11 @@ def _child_lcp(lcp: np.ndarray, bit: np.ndarray, low: np.ndarray) -> None:
         lcp[s] = np.where(bit[s], ones, zeros)
 
 
-def _local(pos, sid, starts, s=slice(None)):
-    """Positions of a slice of the sequence within their strings."""
-    return pos[s] if starts is None else pos[s] - starts[sid[s]]
-
-
-def _levels(visit, pos, lcp, sid, starts, b: int) -> None:
+def _levels(visit, pos, lcp, sid, b: int) -> None:
     """Run visit at every level of a sequence one block above bit b, from the top.
 
-    The sequence holds suffixes in suffix-array order: pos their positions,
-    in the index if starts is given or else in their strings, and sid their
-    strings (None: all of one string), which begin at starts[sid].  A pair
+    The sequence holds suffixes in suffix-array order: pos their positions
+    in their strings, and sid their strings (None: all of one string).  A pair
     p < q of positions first differs in one bit, where p has 0 and q has 1.
     Going down from the top bit b, the elements stay in blocks of equal
     position >> (b + 1), each in suffix-array order, and at bit b
@@ -202,8 +196,7 @@ def _levels(visit, pos, lcp, sid, starts, b: int) -> None:
     reordered together.  The arrays are overwritten.
     """
     while True:
-        bit = np.concatenate([_local(pos, sid, starts, slice(lo, lo + CHUNK)) >> b & 1 == 1
-                              for lo in range(0, len(pos), CHUNK)])
+        bit = np.concatenate([pos[lo : lo + CHUNK] >> b & 1 == 1 for lo in range(0, len(pos), CHUNK)])
         low = ~bit
         visit(pos, lcp, sid, low, bit)
         if b == 0:
@@ -221,10 +214,9 @@ def _levels(visit, pos, lcp, sid, starts, b: int) -> None:
             del bit, low, tail
             for lo, hi in ((0, zeros), (zeros, len(pos))):
                 if hi > lo:
-                    _levels(visit, pos[lo:hi], lcp[lo : hi + 1], None if sid is None else sid[lo:hi],
-                            starts, b)
+                    _levels(visit, pos[lo:hi], lcp[lo : hi + 1], None if sid is None else sid[lo:hi], b)
             return
-        order = np.argsort(_local(pos, sid, starts) >> (b + 1), kind="stable")
+        order = np.argsort(pos >> (b + 1), kind="stable")
         for a in arrays:
             a[:] = a[order]
 
@@ -425,6 +417,7 @@ class Index:
             self._ids.setdefault(bytes(s), len(self._ids))
         self.strings = tuple(self._ids)
         self._starts = np.cumsum([0] + [len(s) + 1 for s in self.strings[:-1]])
+        self._width = self._starts[-1] + len(self.strings[-1])  # positions in the index
         self._sa = self._best = None
         self._target, self._cache = None, {}
         self._row_of = self._row = self._letters = None
@@ -465,8 +458,7 @@ class Index:
         if self._target != target:
             self._target, self._cache = target, {}
         if (region, whole) not in self._cache:
-            kernel = self._whole if whole else self._aligned
-            self._cache[region, whole] = kernel(target, region)
+            self._cache[region, whole] = (self._whole if whole else self._aligned)(target, region)
         return self._cache[region, whole]
 
     def _whole(self, t: int, r: int) -> np.ndarray:
@@ -486,7 +478,7 @@ class Index:
         suffix lengths: a string matches itself whole.
         """
         size = len(self.strings[r])
-        out = np.zeros(self._starts[-1] + len(self.strings[-1]), np.int32)
+        out = np.zeros(self._width, np.int32)
         out[self._starts[r] : self._starts[r] + size] = np.arange(size, 0, -1)
         mine = self._sid == r
         _nearest(out, self._sa, self._lcp, mine, ~mine)
@@ -502,7 +494,7 @@ class Index:
                 _nearest(out, pos, lcp, low, bit)
 
             pos, lcp, sid = self._gather(t, r, n - 1)
-            _levels(visit, pos, lcp, sid, None, (n - 1).bit_length() - 1)
+            _levels(visit, pos, lcp, sid, (n - 1).bit_length() - 1)
         return out
 
     def best_aligned(self, target: int, left_out: int | None = None) -> np.ndarray:
@@ -522,13 +514,14 @@ class Index:
             self._build()
         pos, lcp, sid = self._sa, self._lcp, self._sid
         self._sa = self._lcp = self._sid = None
+        for lo in range(0, len(pos), CHUNK):  # positions in their strings
+            pos[lo : lo + CHUNK] -= self._starts[sid[lo : lo + CHUNK]]
         longest = max(map(len, self.strings))
-        width = self._starts[-1] + len(self.strings[-1])
-        v1 = np.zeros(width, np.min_scalar_type(longest))
-        v2, r1 = np.zeros_like(v1), np.zeros(width, np.min_scalar_type(len(self.strings) - 1))
+        v1 = np.zeros(self._width, np.min_scalar_type(longest))
+        v2, r1 = np.zeros_like(v1), np.zeros(self._width, np.min_scalar_type(len(self.strings) - 1))
         if longest > 1:
-            visit = partial(_nearest_regions, (v1, r1, v2))
-            _levels(visit, pos, lcp, sid, self._starts, (longest - 1).bit_length() - 1)
+            visit = partial(_nearest_regions, (v1, r1, v2), self._starts)
+            _levels(visit, pos, lcp, sid, (longest - 1).bit_length() - 1)
         v1.flags.writeable = False  # best_aligned hands out views of it
         return v1, r1, v2
 
@@ -547,9 +540,8 @@ class Index:
         if self._sa is None:
             self._build()
         n = len(self._sa)
-        inverse = _invert(self._sa, np.empty(self._starts[-1] + len(self.strings[-1]), np.int32))
-        rank = inverse[self._starts[t] + at].astype(np.int64)  # int64: _run_starts doubles past n
-        del inverse
+        # int64: _run_starts doubles past n
+        rank = _invert(self._sa, np.empty(self._width, np.int32))[self._starts[t] + at].astype(np.int64)
         order = np.argsort(rank)  # _run_starts and _block_min take the runs in order
         rank, length = rank[order], length[order]
         first = _run_starts(self._lcp, rank, length)
@@ -608,8 +600,8 @@ class Index:
         return pos, lcp, None if own else ~in_t[keep]
 
 
-def _dense(target: bytes, regions: list[bytes], whole: list[bool]):
-    """best_matches for a small input, from the target-by-regions equality matrix.
+def _dense(target: bytes, regions: list[bytes], whole: list[bool]) -> np.ndarray:
+    """Longest permitted match at each target position, from the target-by-regions equality matrix.
 
     Runs of equal bytes along its diagonals are match lengths.  A
     separator column after each region stops runs at the region's end.
@@ -618,8 +610,7 @@ def _dense(target: bytes, regions: list[bytes], whole: list[bool]):
     sizes = [len(s) + 1 for s in regions]
     width = sum(sizes)
     row = np.frombuffer(b"\0".join(regions) + b"\0", np.uint8).astype(np.int16)
-    ends = np.cumsum(sizes)
-    row[ends - 1] = -1
+    row[np.cumsum(sizes) - 1] = -1
     # One row and one column on is a stride of width + 1: as the columns
     # of this view the diagonals run down, and each run ends at a 0.
     step = width + 1
@@ -633,30 +624,29 @@ def _dense(target: bytes, regions: list[bytes], whole: list[bool]):
     # an aligned region admits starts p < q only
     start = np.concatenate([np.full(k, -1) if w else np.arange(k) for k, w in zip(sizes, whole)])
     runs *= start < np.arange(m)[:, None]
-    # the first column with a row's maximum is the leftmost start in the first
-    # region in tie-break order
-    column = runs.argmax(axis=1)
-    region = np.searchsorted(ends, column, side="right")
-    return runs.max(axis=1), region, column - (ends - sizes)[region]
+    return runs.max(axis=1)
 
 
 def best_matches(target: bytes, regions: list[bytes], whole: list[bool], index: Index | None = None):
     """Longest permitted match at every target position, and a function where.
 
-    where(at, length) gives, at the positions at (ascending), the first
-    region with the longest match and the leftmost start of that match;
-    length is its length there (best[at]), passed back so that where need
-    not keep best.  regions are in tie-break order; index, if given, must
-    hold the target and every region.  A shared index serves the aligned
-    pasts (no region whole) of all its strings but at most one from its
-    sweep, and other requests from the per-pair arrays; where is
-    Index.leftmost.  An index made here lives as long as where, without its
-    match arrays.
+    where(at, length) is Index.leftmost: at the positions at (ascending), the
+    first region with the longest match and the leftmost start of that match;
+    length is best[at], passed back so that where need not keep best.
+    regions are in tie-break order; index, if given, must hold the target
+    and every region.  A shared index serves the aligned pasts (no region
+    whole) of all its strings but at most one from its sweep, and other
+    requests from the per-pair arrays.  An index made here lives as long as
+    where, without its match arrays; a dense-size input's is made and built
+    only if where is called.
     """
-    n = len(target)
-    if (n + 1) * sum(len(s) + 1 for s in regions) <= DENSE_CELLS:
-        best, region, start = _dense(target, regions, whole)
-        return best, lambda at, length: (region[at], start[at])
+    def where(at, length):
+        own = index or Index([target] + regions)
+        return own.leftmost(own.id(target), at, length, [own.id(s) for s in regions], whole)
+
+    if (len(target) + 1) * sum(len(s) + 1 for s in regions) <= DENSE_CELLS:
+        index = None  # where makes an index of its own when called
+        return _dense(target, regions, whole), where
     private = index is None
     index = index or Index([target] + regions)
     t = index.id(target)
@@ -668,4 +658,4 @@ def best_matches(target: bytes, regions: list[bytes], whole: list[bool], index: 
         best = reduce(np.maximum, [index.matches(t, r, w) for r, w in zip(ids, whole)])
         if private:  # the offsets need only the suffix array
             index._target, index._cache, index._row_of, index._row = None, {}, None, None
-    return best, lambda at, length: index.leftmost(t, at, length, ids, whole)
+    return best, where

@@ -8,6 +8,7 @@ runs and platforms.  OS randomness is never used.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +17,10 @@ import numpy as np
 from .directed import StringSet, _has_cycle
 from .estimators import Estimate, estimate_from_lengths, sigmoid_function, threshold_function
 from .index import MAX_LENGTH
+
+
+#: Draws taken at a time by generate_markov: 32 bytes each as Python floats.
+_DRAWS = 1 << 16
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -37,6 +42,8 @@ class MarkovSpec:
             raise ValueError("alphabet size must be in [2, 256]")
         if m.shape != (a, a):
             raise ValueError("transition matrix shape does not match alphabet")
+        if not np.isfinite(m).all():
+            raise ValueError("transition matrix entries must be finite numbers")
         if np.any(m < 0) or np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("transition matrix rows must sum to 1")
         if not 1 <= self.length <= MAX_LENGTH:
@@ -45,17 +52,22 @@ class MarkovSpec:
 
 def generate_markov(spec: MarkovSpec) -> bytes:
     """One realization of the first-order chain, uniform initial state,
-    states mapped to byte values 0..alphabet_size-1."""
+    states mapped to byte values 0..alphabet_size-1.
+
+    Each step bisects its state's row of cumulative probabilities as Python
+    floats: the float64 comparisons of np.searchsorted, without a numpy call
+    per byte.  The draws come in pieces, which leave the stream as it is.
+    """
     rng = _rng(spec.seed)
-    cum = np.cumsum(spec.transition, axis=1)
+    cum = np.cumsum(spec.transition, axis=1).tolist()
     a = spec.alphabet_size
     out = bytearray(spec.length)
     state = int(rng.integers(a))
     out[0] = state
-    draws = rng.random(spec.length - 1)
-    for k in range(1, spec.length):
-        state = min(int(np.searchsorted(cum[state], draws[k - 1], side="right")), a - 1)
-        out[k] = state
+    for lo in range(1, spec.length, _DRAWS):
+        for k, draw in enumerate(rng.random(min(_DRAWS, spec.length - lo)).tolist(), lo):
+            state = min(bisect_right(cum[state], draw), a - 1)
+            out[k] = state
     return bytes(out)
 
 
@@ -85,6 +97,8 @@ class DagSpec:
         n = m.shape[0]
         if m.ndim != 2 or m.shape[1] != n + 1:
             raise ValueError("connectivity must be N x (N+1)")
+        if not np.isfinite(m).all():
+            raise ValueError("connectivity entries must be finite numbers")
         if np.any(m < 0) or np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("connectivity rows must sum to 1")
         # edge j -> i whenever process i copies from process j

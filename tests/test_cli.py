@@ -1,4 +1,5 @@
 import contextlib
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -351,6 +352,9 @@ def _markov_spec(line):
     (["gen", "dag"], DAG_SPEC.replace("length 100", "length 2147483648"), "dag", "length"),
     (["simulate"], "mu 5\nl0 6\nlength 1024,1e3.5\n", "simulate", "length"),
     (["simulate"], "mu 5,x\nl0 6\nlength 1024\n", "simulate", "mu"),
+    (["gen", "markov"], "alphabet 3\nlength 100\ntransition\nnan 0.5 0.5\n0.2 0.3 0.5\n0.2 0.3 0.5\n",
+     "markov", "transition"),
+    (["gen", "dag"], DAG_SPEC.replace("0.9 0.0 0.1", "nan 0.0 0.1"), "dag", "connectivity"),
 ], ids=["markov-realizations-negative", "markov-realizations-0", "markov-realizations-fraction",
         "markov-seed-negative", "markov-length-not-a-number", "markov-alphabet-fraction",
         "dag-length-not-a-number", "dag-seed-negative", "dag-burnin-fraction",
@@ -359,7 +363,7 @@ def _markov_spec(line):
         "dag-alphabet-1", "dag-burnin-negative", "simulate-mu-nan", "simulate-mu-inf",
         "simulate-mu-negative", "markov-length-1e300", "markov-length-2**31",
         "dag-length-1e300", "dag-length-2**31", "simulate-length-not-a-number",
-        "simulate-mu-not-a-number"])
+        "simulate-mu-not-a-number", "markov-transition-nan", "dag-connectivity-nan"])
 def test_bad_spec_value_is_one_line_error(runner, tmp_path, command, text, kind, key):
     spec = tmp_path / "bad.spec"
     spec.write_text(text)
@@ -441,3 +445,32 @@ def test_non_numeric_option_is_one_line_error(runner, tmp_path, args):
     assert isinstance(res.exception, SystemExit), res.exception  # no traceback
     last = res.output.strip().splitlines()[-1]
     assert last.startswith("Error:") and args[1] in last and repr(args[2]) in last
+
+
+def _random_strings(seed, count, length):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 4, length, dtype=np.uint8).tobytes() for _ in range(count)]
+
+
+@pytest.mark.parametrize("command, corpus, message", [
+    (["nsd"], {"x": b"ab", "y": SAMPLE["alpha"]},
+     "strings shorter than 3 bytes can never be matched; the distance is positive even for equal inputs"),
+    # two unrelated random strings: each term gains a little from the other, and threshold 0 keeps both edges
+    (["causality", "--threshold", "0"], dict(zip("xy", _random_strings(0, 2, 300))),
+     "extracted graph contains a cycle"),
+], ids=["nsd-short-input", "causality-cycle"])
+def test_library_warning_is_one_line(runner, tmp_path, command, corpus, message):
+    files = write_corpus(tmp_path, corpus)
+    args = [command[0], *files, *command[1:], "--out", str(tmp_path / "out")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert res.stderr.splitlines() == [f"warning: {message}"]
+
+    def overflow(*args, **kwargs):
+        warnings.warn("overflow", RuntimeWarning)
+
+    # the warning filters stay in force: a RuntimeWarning is still an error here
+    with mock.patch("salza.estimators.nsd_matrix", side_effect=overflow), \
+            mock.patch("salza.directed.directed_info_matrix", side_effect=overflow):
+        res = runner.invoke(main, args)
+    assert isinstance(res.exception, RuntimeWarning)

@@ -514,8 +514,29 @@ def test_offsets_are_leftmost_starts(chunk):
                 f = factorize(y, context)
             with mock.patch.object(index, "CHUNK", chunk):
                 _assert_offsets_leftmost(y, context, f)
-            small = Context(tuple(s[:60] for s in sources), mode)  # the dense kernel's offsets
+            # a dense-size parse: its offsets come from an index of its own, made for them
+            small = Context(tuple(s[:60] for s in sources), mode)
             _assert_offsets_leftmost(y[:80], small, factorize(y[:80], small))
+
+
+def test_dense_size_parse_builds_an_index_only_for_its_symbols():
+    rng = np.random.default_rng(23)
+    x = rng.integers(0, 3, 70, dtype=np.uint8).tobytes()
+    y = x[5:] + x[:20]
+    for mode in Mode:
+        # a source equal to the target, and one source given twice
+        sources = (x,) if mode is Mode.SOURCE_PAST else (x[:50], y, x[:50])
+        context = Context(sources, mode)
+        regions = (y,) * context.uses_own_past + sources
+        assert (len(y) + 1) * sum(len(s) + 1 for s in regions) <= index.DENSE_CELLS
+        with _counting("_build") as build:
+            f = factorize(y, context)
+            conditional_complexity(y, context)
+            assert build.call_count == 0  # estimates read only the lengths
+            refs = [sym for sym in f.symbols if not sym.is_literal]
+            assert build.call_count == 1
+        assert refs and f == naive_factorize(y, context)
+        _assert_offsets_leftmost(y, context, f)
 
 
 @pytest.mark.parametrize("chunk", [index.CHUNK, 3])

@@ -58,6 +58,36 @@ class TestMarkov:
         with pytest.raises(ValueError, match="shape"):
             MarkovSpec(3, np.eye(2), 10, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        m = np.full((3, 3), 0.5)
+        m[:, 0] = 0.0
+        m[1, 0] = bad  # a NaN passes the row-sum test: nan - 1 > 1e-9 is False
+        with pytest.raises(ValueError, match="transition matrix entries must be finite numbers"):
+            MarkovSpec(3, m, 10, 0)
+
+    @pytest.mark.parametrize("alphabet", [2, 3, 64])
+    def test_bytes_equal_the_searchsorted_formulation(self, alphabet):
+        """Bisection over the rows as Python floats draws the states that np.searchsorted does."""
+        rng = np.random.default_rng(alphabet)
+        m = rng.random((alphabet, alphabet))
+        m[rng.random(m.shape) < 0.4] = 0.0  # zeros: equal cumulative values side by side
+        m[0], m[-1] = 0.0, 0.0
+        m[0, :2], m[-1, -2:] = (0.3, 0.7), (0.6, 0.4)  # rows that end, and begin, with zeros
+        m[m.sum(axis=1) == 0, 0] = 1.0
+        m /= m.sum(axis=1, keepdims=True)
+        spec = MarkovSpec(alphabet, m, 70_000, seed=alphabet)  # the draws come in more than one piece
+        gen = np.random.Generator(np.random.PCG64(spec.seed))
+        cum = np.cumsum(m, axis=1)
+        state = int(gen.integers(alphabet))
+        want = [state]
+        for draw in gen.random(spec.length - 1):
+            state = min(int(np.searchsorted(cum[state], draw, side="right")), alphabet - 1)
+            want.append(state)
+        got = generate_markov(spec)
+        assert got == bytes(want)
+        assert len(set(got)) > 1
+
 
 CHAIN_3 = np.array([
     [0.0, 0.5, 0.0, 0.5],   # p0 copies p1 half the time
@@ -114,6 +144,12 @@ class TestDagProcesses:
     def test_row_sum_rejected(self):
         m = np.array([[0.0, 0.5, 0.4], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="sum to 1"):
+            DagSpec(m, length=100, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        m = np.array([[0.0, 0.0, 1.0], [bad, 0.0, 0.1]])
+        with pytest.raises(ValueError, match="connectivity entries must be finite numbers"):
             DagSpec(m, length=100, seed=0)
 
     def test_custom_labels(self):

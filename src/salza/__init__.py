@@ -1,75 +1,34 @@
 """Lempel-Ziv based algorithmic complexity estimation, clustering, and
-causality inference."""
+causality inference.
 
-from .cluster import DistanceMatrix, TreeNode, neighbor_joining, to_newick, upgma
-from .directed import (
-    DirectedInfoMatrix,
-    StringSet,
-    causal_directed_info,
-    directed_info_matrix,
-    extract_dag,
-    full_directed_info,
-    to_dot,
-)
-from .estimators import (
-    AdmissibleFunction,
-    Estimate,
-    conditional_complexity,
-    joint_complexity,
-    meaningful_cutoff,
-    nsd,
-    nsd_matrix,
-    sigmoid_function,
-    simple_complexity,
-    table_function,
-    threshold_function,
-)
-from .lz import Context, Factorization, Mode, Symbol, decode, factorize
-from .synth import (
-    DagSpec,
-    LengthProfileSpec,
-    MarkovSpec,
-    generate_dag_processes,
-    generate_markov,
-    length_profile,
-)
+The public names are imported from their modules on first access (PEP 562),
+so `import salza` loads no numpy; the CLI relies on this to choose how numpy
+starts (see cli.py).
+"""
 
-__all__ = [
-    "AdmissibleFunction",
-    "Context",
-    "DagSpec",
-    "DirectedInfoMatrix",
-    "DistanceMatrix",
-    "Estimate",
-    "Factorization",
-    "LengthProfileSpec",
-    "MarkovSpec",
-    "Mode",
-    "StringSet",
-    "Symbol",
-    "TreeNode",
-    "causal_directed_info",
-    "conditional_complexity",
-    "decode",
-    "directed_info_matrix",
-    "extract_dag",
-    "factorize",
-    "full_directed_info",
-    "generate_dag_processes",
-    "generate_markov",
-    "joint_complexity",
-    "length_profile",
-    "meaningful_cutoff",
-    "neighbor_joining",
-    "nsd",
-    "nsd_matrix",
-    "sigmoid_function",
-    "simple_complexity",
-    "table_function",
-    "threshold_function",
-    "to_dot",
-    "to_newick",
-    "upgma",
-]
+import importlib
+
+_HOMES = {
+    "cluster": ("DistanceMatrix", "TreeNode", "neighbor_joining", "to_newick", "upgma"),
+    "directed": ("DirectedInfoMatrix", "StringSet", "causal_directed_info", "directed_info_matrix",
+                 "extract_dag", "full_directed_info", "to_dot"),
+    "estimators": ("AdmissibleFunction", "Estimate", "conditional_complexity", "joint_complexity",
+                   "meaningful_cutoff", "nsd", "nsd_matrix", "sigmoid_function",
+                   "simple_complexity", "table_function", "threshold_function"),
+    "lz": ("Context", "Factorization", "Mode", "Symbol", "decode", "factorize"),
+    "synth": ("DagSpec", "LengthProfileSpec", "MarkovSpec", "generate_dag_processes",
+              "generate_markov", "length_profile"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -10,10 +10,22 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import sys
 import warnings
 from pathlib import Path
 
 import click
+
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    # salza makes no BLAS call (no dot, @, linalg or einsum), so OpenBLAS's
+    # worker threads, started when numpy loads, would only spin: about 0.1 s
+    # of CPU per process on two cores.  OpenBLAS reads the variable once, as
+    # it loads, so the environment is put back as it was right after.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import cluster as _cluster
 from . import directed as _directed
@@ -176,6 +188,7 @@ def nsd(files, func, l0, threads, out):
 @click.option("--ascii", "show_ascii", is_flag=True, help="Also print an ASCII rendering.")
 def cluster(matrix, method, out, show_ascii):
     """Build a tree from a TSV distance matrix."""
+    _check_writable(out)
     labels, values = _tsv.read_matrix(matrix)
     dm = _cluster.DistanceMatrix(tuple(labels), values)
     tree = _cluster.neighbor_joining(dm) if method == "nj" else _cluster.upgma(dm)
@@ -281,6 +294,7 @@ def dag(specfile, out_dir):
 @click.option("--out", type=click.Path(), default=None, help="Output TSV (default stdout).")
 def factorize_cmd(target, sources, mode_name, out):
     """Dump the symbol stream of TARGET factorized against SOURCES."""
+    _check_writable(out)
     labels, data = _read_corpus((target,) + sources)
     fact = factorize(data[0], Context(tuple(data[1:]), _MODES[mode_name]))
     text = _tsv.symbols_tsv(fact, labels[1:])
@@ -314,6 +328,7 @@ def simulate(specfile, out):
         specs = [_synth.LengthProfileSpec(mu=mu, l0=l0, target_length=_integer("length", n),
                                           trials=trials, seed=seed)
                  for mu in sweep("mu") for n in sweep("length")]
+    _check_writable(out)
     lines = ["mu\tlength\tl0\tthreshold_S\tthreshold_value\tsigmoid_S\tsigmoid_value\tZ"]
     for spec in specs:
         prof = _synth.length_profile(spec)

@@ -378,9 +378,13 @@ def test_bad_spec_value_is_one_line_error(runner, tmp_path, command, text, kind,
 
 @contextlib.contextmanager
 def _computing_fails(exc):
-    """Every NSD matrix and every directed-information matrix raises exc."""
+    """Every NSD matrix, directed-information matrix, factorization, tree and
+    length profile raises exc."""
     with mock.patch("salza.estimators.nsd_matrix", side_effect=exc), \
-            mock.patch("salza.directed.directed_info_matrix", side_effect=exc):
+            mock.patch("salza.directed.directed_info_matrix", side_effect=exc), \
+            mock.patch("salza.cli.factorize", side_effect=exc), \
+            mock.patch("salza.cluster.neighbor_joining", side_effect=exc), \
+            mock.patch("salza.synth.length_profile", side_effect=exc):
         yield
 
 
@@ -402,8 +406,13 @@ def _bad_table(tmp_path, text="3 0.2 9\n"):
     lambda f, d: ["gen", "dag", f"{d}/missing.spec", "--out-dir", str(d)],
     lambda f, d: ["simulate", f"{d}/missing.spec"],
     lambda f, d: ["cluster", f"{d}/missing.tsv", "--out", f"{d}/t.nwk"],
+    lambda f, d: ["cluster", *write_corpus(d, {"m.tsv": b"\ta\tb\na\t0\t1\nb\t1\t0\n"}),
+                  "--out", f"{d}/missing/t.nwk"],
+    lambda f, d: ["simulate", *write_corpus(d, {"sim.spec": b"mu 5\nl0 6\nlength 64\ntrials 2\n"}),
+                  "--out", f"{d}/missing/s.tsv"],
 ], ids=["missing-table", "bad-table-line", "table-length-1e400", "table-length-2**31", "nsd-out",
-        "causality-out", "factorize-out", "markov-spec", "dag-spec", "simulate-spec", "cluster-matrix"])
+        "causality-out", "factorize-out", "markov-spec", "dag-spec", "simulate-spec", "cluster-matrix",
+        "cluster-out", "simulate-out"])
 def test_bad_file_is_one_line_error(runner, tmp_path, make_args):
     files = write_corpus(tmp_path, {"x": SAMPLE["alpha"], "y": SAMPLE["beta"]})
     # an output path is checked before any cell is computed

@@ -47,9 +47,12 @@ def _load_function(func: str, l0: str) -> _est.AdmissibleFunction:
                 continue
             try:
                 length, value = line.split()
-                table[int(length)] = float(value)
+                length, value = int(length), float(value)
             except ValueError:
                 raise ValueError(f"{path}: line {i}: expected '<length> <value>', not {raw!r}") from None
+            if length in table:
+                raise ValueError(f"{path}: line {i}: length {length} given twice")
+            table[length] = value
         return _est.table_function(table)
     if func not in ("sigmoid", "threshold"):
         raise ValueError(f"unknown admissible function: {func}")

@@ -103,14 +103,14 @@ def directed_info_matrix(
 ) -> DirectedInfoMatrix:
     """All ordered-pair influence values.
 
-    One index over the set serves every term: the match arrays of target
-    j are computed once and shared by the n terms of column j, including
-    the subtrahend (j conditioned on everything but itself).  A causal
-    term parses j against the aligned pasts of all strings but at most
-    one, so the shared index serves every term from one sweep, with one
-    nearest pass per position bit for all strings together: at each
-    position it keeps the longest match, the string giving it and the
-    longest from any other string (see Index).
+    One index over the set serves every term, the subtrahend (j
+    conditioned on everything but itself) included.  Each term parses j
+    against the regions of all strings but at most one, so the index
+    serves it from one triple over the whole set: at each position, the
+    longest match, the string giving it and the longest from any other
+    string (see Index).  The causal triple comes from one sweep, with one
+    nearest pass per position bit for all strings together; the full
+    triple from one row and one own past per distinct string.
     """
     if kind not in _KIND_MODES:
         raise ValueError(f"unknown kind: {kind}")

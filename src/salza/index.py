@@ -164,8 +164,9 @@ def _merge(best, at, a1, ra, a2) -> None:
     lose = np.minimum(a1, b1)
     lose[ra == rb] = 0
     v2[at] = np.maximum(np.maximum(a2, b2), lose)
-    v1[at] = np.maximum(a1, b1)
+    # r1 before v1: with at a slice, b1 is a view of v1
     r1[at] = np.where(a1 > b1, ra, rb)
+    v1[at] = np.maximum(a1, b1)
 
 
 def _child_lcp(lcp: np.ndarray, bit: np.ndarray, low: np.ndarray) -> None:
@@ -391,9 +392,7 @@ class Index:
     temporaries.  After it the index keeps, for every suffix in suffix-array
     order, its position, its lcp with the one before and its string: 9 bytes
     per byte (up to 256 strings).  Strings are found by value; equal strings
-    share an entry, since match arrays depend only on content.  The match
-    arrays of the last target asked for are cached, so that the terms of one
-    target share them.
+    share an entry, since match arrays depend only on content.
 
     Whole-source matches against strings[r] come from one nearest pass that
     gives every string's match array against r at once: a row of 4 bytes per
@@ -401,14 +400,15 @@ class Index:
     against one source in turn (as nsd_matrix does) makes one pass per
     source; one index then serves a whole corpus.
 
-    A target's longest aligned match over the pasts of all strings but at
-    most one (best_aligned) comes from one sweep over the whole index on
-    first use, with one nearest pass per bit for all strings together.  It
-    keeps three entries per indexed byte: the longest match over all
-    strings, a string giving it and the longest over the others.  The sweep
-    takes over the index's arrays; the first later request for a match array
-    or leftmost builds them again.  best_matches takes it only for an index
-    shared across factorizations, where it serves many terms.
+    A target's longest match with all strings but at most one (best) comes
+    from a triple of arrays over the index, made on first use: the longest
+    match over all strings, a string giving it and the longest over the
+    others.  The aligned triple, over all pasts, comes from one sweep with
+    one nearest pass per bit for all strings; it takes over the index's
+    arrays, which the next match array or leftmost builds again.  The whole
+    triple (own past, other strings whole) merges one row and one own past
+    per string.  best_matches takes them only on an index shared across
+    factorizations, where they serve many terms.
     """
 
     def __init__(self, strings):
@@ -418,8 +418,8 @@ class Index:
         self.strings = tuple(self._ids)
         self._starts = np.cumsum([0] + [len(s) + 1 for s in self.strings[:-1]])
         self._width = self._starts[-1] + len(self.strings[-1])  # positions in the index
-        self._sa = self._best = None
-        self._target, self._cache = None, {}
+        self._sa = None
+        self._best: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # by whole
         self._row_of = self._row = self._letters = None
 
     def id(self, s: bytes) -> int:
@@ -455,11 +455,7 @@ class Index:
         """Match array of strings[target] against strings[region]."""
         if self._sa is None:
             self._build()
-        if self._target != target:
-            self._target, self._cache = target, {}
-        if (region, whole) not in self._cache:
-            self._cache[region, whole] = (self._whole if whole else self._aligned)(target, region)
-        return self._cache[region, whole]
+        return (self._whole if whole else self._aligned)(target, region)
 
     def _whole(self, t: int, r: int) -> np.ndarray:
         """Match array of strings[t] against the whole of strings[r], cut from the row of r."""
@@ -467,7 +463,7 @@ class Index:
             self._row = None  # one row at a time
             self._row, self._row_of = self._whole_row(r), r
         start = self._starts[t]
-        # a copy: the target's cache may outlive the row
+        # a copy: a view would pin the whole row while the next row is made
         return self._row[start : start + len(self.strings[t])].copy()
 
     def _whole_row(self, r: int) -> np.ndarray:
@@ -497,33 +493,40 @@ class Index:
             _levels(visit, pos, lcp, sid, (n - 1).bit_length() - 1)
         return out
 
-    def best_aligned(self, target: int, left_out: int | None = None) -> np.ndarray:
-        """Longest match of strings[target] with the past of every string but strings[left_out].
+    def best(self, target: int, left_out: int | None = None, whole: bool = False) -> np.ndarray:
+        """Longest match of strings[target] with every string but strings[left_out].
 
-        The past of strings[target] is its own; left_out None leaves none out.
+        Each string's region is its past, or with whole its whole, except that
+        strings[target] always gives its own past; left_out None leaves none out.
         """
-        if self._best is None:
-            self._best = self._sweep()
-        v1, r1, v2 = self._best
+        if whole not in self._best:
+            if self._sa is None:
+                self._build()
+            v1 = np.zeros(self._width, np.min_scalar_type(max(map(len, self.strings))))
+            triple = v1, np.zeros(self._width, np.min_scalar_type(len(self.strings) - 1)), np.zeros_like(v1)
+            (self._merge_rows if whole else self._sweep)(triple)
+            v1.flags.writeable = False  # best hands out views of it
+            self._best[whole] = triple
+        v1, r1, v2 = self._best[whole]
         at = slice(self._starts[target], self._starts[target] + len(self.strings[target]))
         return v1[at] if left_out is None else np.where(r1[at] == left_out, v2[at], v1[at])
 
-    def _sweep(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For every position in the index, best_aligned's three arrays (see the class)."""
-        if self._sa is None:
-            self._build()
+    def _sweep(self, best) -> None:
+        """Merge into best (see the class) every string's matches with the pasts of all strings."""
         pos, lcp, sid = self._sa, self._lcp, self._sid
         self._sa = self._lcp = self._sid = None
         for lo in range(0, len(pos), CHUNK):  # positions in their strings
             pos[lo : lo + CHUNK] -= self._starts[sid[lo : lo + CHUNK]]
         longest = max(map(len, self.strings))
-        v1 = np.zeros(self._width, np.min_scalar_type(longest))
-        v2, r1 = np.zeros_like(v1), np.zeros(self._width, np.min_scalar_type(len(self.strings) - 1))
         if longest > 1:
-            visit = partial(_nearest_regions, (v1, r1, v2), self._starts)
-            _levels(visit, pos, lcp, sid, (longest - 1).bit_length() - 1)
-        v1.flags.writeable = False  # best_aligned hands out views of it
-        return v1, r1, v2
+            _levels(partial(_nearest_regions, best, self._starts), pos, lcp, sid, (longest - 1).bit_length() - 1)
+
+    def _merge_rows(self, best) -> None:
+        """Merge into best (see the class) each string's row, its own positions holding its own past."""
+        for r, s in enumerate(self.strings):
+            row = self._whole_row(r)
+            row[self._starts[r] : self._starts[r] + len(s)] = self._aligned(r, r)
+            _merge(best, slice(None), row, r, 0)
 
     def leftmost(self, t: int, at: np.ndarray, length: np.ndarray, ids: list[int], whole: list[bool]):
         """First region and leftmost start of the match of length with strings[t] at each of at.
@@ -634,11 +637,11 @@ def best_matches(target: bytes, regions: list[bytes], whole: list[bool], index: 
     first region with the longest match and the leftmost start of that match;
     length is best[at], passed back so that where need not keep best.
     regions are in tie-break order; index, if given, must hold the target
-    and every region.  A shared index serves the aligned pasts (no region
-    whole) of all its strings but at most one from its sweep, and other
-    requests from the per-pair arrays.  An index made here lives as long as
-    where, without its match arrays; a dense-size input's is made and built
-    only if where is called.
+    and every region.  A shared index serves all its strings but at most
+    one from a triple (Index.best): all aligned pasts, or the own past and
+    every other string whole; other requests take per-pair arrays.  An
+    index made here lives as long as where, without its row; a dense-size
+    input's is made and built only if where is called.
     """
     def where(at, length):
         own = index or Index([target] + regions)
@@ -652,10 +655,13 @@ def best_matches(target: bytes, regions: list[bytes], whole: list[bool], index: 
     t = index.id(target)
     ids = [index.id(s) for s in regions]
     left_out = set(range(len(index.strings))).difference(ids)
-    if not private and not any(whole) and len(left_out) <= 1:
-        best = index.best_aligned(t, *left_out)
+    shared = not private and len(left_out) <= 1
+    if shared and not any(whole):
+        best = index.best(t, *left_out)
+    elif shared and ids[:1] == [t] and whole[:1] == [False] and all(whole[1:]) and t not in ids[1:]:
+        best = index.best(t, *left_out, whole=True)
     else:
         best = reduce(np.maximum, [index.matches(t, r, w) for r, w in zip(ids, whole)])
         if private:  # the offsets need only the suffix array
-            index._target, index._cache, index._row_of, index._row = None, {}, None, None
+            index._row_of = index._row = None
     return best, where

@@ -46,8 +46,8 @@ class Context:
     """Ordered reference sources plus the conditioning mode.
 
     `index` optionally names an Index that holds the target and every
-    source, so that several factorizations share its match arrays and
-    sweep; it changes no result and takes no part in equality.
+    source, so that several factorizations share its row and triples; it
+    changes no result and takes no part in equality.
     """
 
     sources: tuple[bytes, ...]

@@ -175,6 +175,8 @@ class LengthProfileSpec:
     def __post_init__(self):
         if not 0 < self.mu < math.inf:
             raise ValueError(f"mu must be a finite number > 0, not {self.mu!r}")
+        if not 0 <= self.l0 < math.inf:
+            raise ValueError(f"l0 must be a finite number >= 0, not {self.l0!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.target_length < 1:

@@ -346,6 +346,9 @@ def _markov_spec(line):
     (["simulate"], "mu nan\nl0 6\nlength 1024\n", "simulate", "mu"),
     (["simulate"], "mu inf\nl0 6\nlength 1024\n", "simulate", "mu"),
     (["simulate"], "mu 5,-1\nl0 6\nlength 1024\n", "simulate", "mu"),
+    (["simulate"], "mu 5\nl0 nan\nlength 1024\n", "simulate", "l0"),
+    (["simulate"], "mu 5\nl0 inf\nlength 1024\n", "simulate", "l0"),
+    (["simulate"], "mu 5\nl0 -2\nlength 1024\n", "simulate", "l0"),
     (["gen", "markov"], _markov_spec("length 1e300"), "markov", "length"),
     (["gen", "markov"], _markov_spec("length 2147483648"), "markov", "length"),
     (["gen", "dag"], DAG_SPEC.replace("length 100", "length 1e300"), "dag", "length"),
@@ -361,7 +364,7 @@ def _markov_spec(line):
         "simulate-trials-fraction", "simulate-length-fraction", "simulate-seed-negative",
         "dag-scale-inf", "dag-scale-nan", "dag-scale-negative", "dag-alphabet-300",
         "dag-alphabet-1", "dag-burnin-negative", "simulate-mu-nan", "simulate-mu-inf",
-        "simulate-mu-negative", "markov-length-1e300", "markov-length-2**31",
+        "simulate-mu-negative", "simulate-l0-nan", "simulate-l0-inf", "simulate-l0-negative", "markov-length-1e300", "markov-length-2**31",
         "dag-length-1e300", "dag-length-2**31", "simulate-length-not-a-number",
         "simulate-mu-not-a-number", "markov-transition-nan", "dag-connectivity-nan"])
 def test_bad_spec_value_is_one_line_error(runner, tmp_path, command, text, kind, key):
@@ -399,6 +402,7 @@ def _bad_table(tmp_path, text="3 0.2 9\n"):
     lambda f, d: ["nsd", *f, "--func", _bad_table(d), "--out", f"{d}/d.tsv"],
     lambda f, d: ["nsd", *f, "--func", _bad_table(d, "3 0.2\n1" + "0" * 400 + " 1.0\n"), "--out", f"{d}/d.tsv"],
     lambda f, d: ["nsd", *f, "--func", _bad_table(d, "3 0.2\n2147483648 1.0\n"), "--out", f"{d}/d.tsv"],
+    lambda f, d: ["nsd", *f, "--func", _bad_table(d, "5 0.5\n5 0.9\n"), "--out", f"{d}/d.tsv"],
     lambda f, d: ["nsd", *f, "--out", f"{d}/missing/d.tsv"],
     lambda f, d: ["causality", *f, "--out", f"{d}/missing/g.dot"],
     lambda f, d: ["factorize", *f, "--out", f"{d}/missing/f.tsv"],
@@ -410,7 +414,7 @@ def _bad_table(tmp_path, text="3 0.2 9\n"):
                   "--out", f"{d}/missing/t.nwk"],
     lambda f, d: ["simulate", *write_corpus(d, {"sim.spec": b"mu 5\nl0 6\nlength 64\ntrials 2\n"}),
                   "--out", f"{d}/missing/s.tsv"],
-], ids=["missing-table", "bad-table-line", "table-length-1e400", "table-length-2**31", "nsd-out",
+], ids=["missing-table", "bad-table-line", "table-length-1e400", "table-length-2**31", "table-length-twice", "nsd-out",
         "causality-out", "factorize-out", "markov-spec", "dag-spec", "simulate-spec", "cluster-matrix",
         "cluster-out", "simulate-out"])
 def test_bad_file_is_one_line_error(runner, tmp_path, make_args):

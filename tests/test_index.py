@@ -327,17 +327,20 @@ def test_all_pairs_sweep_equals_per_pair_arrays(chunk):
     sets = _string_sets(rng, big=False) + (_string_sets(rng, big=True) if chunk == index.CHUNK else [])
     with mock.patch.object(index, "CHUNK", chunk):
         for strings in sets:
-            sweep, pairs = index.Index(strings), index.Index(strings)
+            sweep, rows, pairs = index.Index(strings), index.Index(strings), index.Index(strings)
             m = len(sweep.strings)
             assert m < len(strings)
             for t, target in enumerate(sweep.strings):
                 per_pair = [pairs.matches(t, r, whole=False).tolist() for r in range(m)]
                 if len(target) < 100:
                     assert per_pair == [_naive_aligned(target, region) for region in sweep.strings]
+                # the whole triple: the target's own past, every other string whole
+                whole = [pairs.matches(t, r, whole=True).tolist() if r != t else per_pair[t] for r in range(m)]
                 for left_out in [None, *range(m)]:
-                    rest = [a for r, a in enumerate(per_pair) if r != left_out]
-                    want = np.max(rest, axis=0).tolist() if rest else [0] * len(target)
-                    assert sweep.best_aligned(t, left_out).tolist() == want, (strings, t, left_out)
+                    for idx, arrays, kind in ((sweep, per_pair, False), (rows, whole, True)):
+                        rest = [a for r, a in enumerate(arrays) if r != left_out]
+                        want = np.max(rest, axis=0).tolist() if rest else [0] * len(target)
+                        assert idx.best(t, left_out, kind).tolist() == want, (strings, t, left_out, kind)
             # the sweep took over the index's arrays; a later request builds them again
             last = m - 1
             for whole in (False, True):
@@ -549,7 +552,7 @@ def test_causal_term_offsets_after_the_sweep(chunk):
             others = tuple(s for k, s in enumerate(strings) if k not in (j, skip))
             context = Context(others, Mode.PAST_OF_BOTH, idx)
             terms.append((strings[j], context, factorize(strings[j], context)))
-        assert idx._best is not None and idx._sa is None  # the sweep took the index's arrays
+        assert False in idx._best and idx._sa is None  # the sweep took the index's arrays
         with mock.patch.object(index, "CHUNK", chunk), _counting("_aligned") as aligned, \
                 _counting("_build") as build:
             for target, context, f in terms:
@@ -572,17 +575,64 @@ def test_private_index_lives_until_symbols_are_made():
     with mock.patch.object(index, "DENSE_CELLS", 0), mock.patch.object(index.Index, "__init__", tracked):
         f = factorize(y, Context((x,), Mode.PAST_AND_SOURCES))
         [ref] = made
-        assert ref() is not None and ref()._cache == {}  # held for the offsets, without its match arrays
+        assert ref() is not None and ref()._row is None  # held for the offsets, without its row
         f.symbols
     assert ref() is None
 
 
-def test_shared_index_keeps_its_cache_and_row_after_symbols():
+def test_shared_index_keeps_its_whole_triple_after_symbols():
     x, y = _strings(18, 2, 600)
     idx = index.Index((x, y))
     with mock.patch.object(index, "DENSE_CELLS", 0):
         f = factorize(y, Context((x,), Mode.PAST_AND_SOURCES, idx))
-        cache, row = dict(idx._cache), idx._row
+        triple = idx._best[True]
         _assert_offsets_leftmost(y, Context((x,), Mode.PAST_AND_SOURCES), f)
-    assert idx._cache.keys() == cache.keys() and idx._row is row is not None
-    assert all(idx._cache[key] is cache[key] for key in cache)
+    assert idx._best == {True: triple} and all(a is b for a, b in zip(idx._best[True], triple))
+
+
+def _full_sets():
+    """Sets of 2, 3 and 5 strings of unequal lengths; the last gives one string twice."""
+    a, b, c, d = _unequal_dag_strings()
+    return [(b, c), (a, b, c), (a, b, c, d, b)]
+
+
+@pytest.mark.parametrize("chunk", [index.CHUNK, 3])
+def test_full_matrix_equals_terms_without_an_index(chunk):
+    for strings in _full_sets():
+        n = len(strings)
+        X = StringSet(tuple(map(str, range(n))), strings)
+        with mock.patch.object(index, "DENSE_CELLS", 0):
+            with mock.patch.object(index, "CHUNK", chunk):
+                got = directed_info_matrix(X, kind="full").values
+            for j in range(n):
+                def term(skip):
+                    others = tuple(s for k, s in enumerate(strings) if k not in (j, skip))
+                    return conditional_complexity(strings[j], Context(others, Mode.PAST_AND_SOURCES)).value
+
+                base = term(None)
+                for i in range(n):
+                    assert got[i, j] == (term(i) - base if i != j else 0.0), (n, i, j)
+
+
+def test_full_matrix_makes_one_row_per_string():
+    X = StringSet(("a", "b", "c", "d"), tuple(_unequal_dag_strings()))
+    with mock.patch.object(index, "DENSE_CELLS", 0), _counting("_whole_row") as row, \
+            _counting("_aligned") as aligned, _counting() as sweep, _counting("matches") as matches:
+        directed_info_matrix(X, kind="full")
+    assert row.call_count == aligned.call_count == 4
+    assert sweep.call_count == matches.call_count == 0
+
+
+def test_merge_over_a_slice_equals_merge_over_positions():
+    rng = np.random.default_rng(25)
+    for _ in range(50):
+        v1 = rng.integers(0, 6, 40).astype(np.uint16)
+        best = v1, rng.integers(0, 3, 40).astype(np.uint8), (v1 * rng.random(40)).astype(np.uint16)
+        a1 = rng.integers(0, 6, 40, dtype=np.int32)
+        ra, a2 = int(rng.integers(0, 3)), (a1 * rng.random(40)).astype(np.int32)
+        lo, hi = sorted(rng.integers(0, 41, 2).tolist())
+        by_slice, by_positions = [a.copy() for a in best], [a.copy() for a in best]
+        index._merge(by_slice, slice(lo, hi), a1[lo:hi], ra, a2[lo:hi])
+        index._merge(by_positions, np.arange(lo, hi), a1[lo:hi], ra, a2[lo:hi])
+        for got, want in zip(by_slice, by_positions):
+            assert got.tolist() == want.tolist()

@@ -212,6 +212,11 @@ class TestLengthProfile:
         with pytest.raises(ValueError, match="mu must be a finite number > 0"):
             LengthProfileSpec(mu=mu, l0=4, target_length=100)
 
+    @pytest.mark.parametrize("l0", [-2.0, float("inf"), float("nan")])
+    def test_negative_or_non_finite_l0_rejected(self, l0):
+        with pytest.raises(ValueError, match="l0 must be a finite number >= 0"):
+            LengthProfileSpec(mu=5, l0=l0, target_length=100)
+
 
 class TestSpecFile:
     def test_scalars_and_matrix(self, tmp_path):

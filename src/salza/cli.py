@@ -221,10 +221,10 @@ def causality(files, kind, func, l0, threshold, threads, out, matrix_out):
     _check_writable(out, matrix_out)
     labels, data = _read_corpus(files)
     X = _directed.StringSet(tuple(labels), tuple(data))
-    m = _directed.directed_info_matrix(X, kind=kind, f=fn, threshold=threshold)
+    m = _directed.directed_info_matrix(X, kind=kind, f=fn)
     if matrix_out:
         _tsv.write_matrix(matrix_out, labels, m.values)
-    Path(out).write_text(_directed.to_dot(m))
+    Path(out).write_text(_directed.to_dot(m, threshold))
 
 
 @main.group()
@@ -242,7 +242,7 @@ def markov(specfile, out_dir):
     then a `transition` matrix block.
     """
     with _spec_errors("markov"):
-        cfg = _synth.parse_spec_file(specfile)
+        cfg = _synth.parse_spec_file(specfile, "alphabet length seed realizations id transition".split())
         count = _integer("realizations", cfg.get("realizations", 1), 1)
         base_seed = _integer("seed", cfg.get("seed", 0), 0)
         specs = [_synth.MarkovSpec(
@@ -272,7 +272,7 @@ def dag(specfile, out_dir):
     probability.
     """
     with _spec_errors("dag"):
-        cfg = _synth.parse_spec_file(specfile)
+        cfg = _synth.parse_spec_file(specfile, "length seed burnin scale alphabet connectivity".split())
         spec = _synth.DagSpec(
             connectivity=cfg["connectivity"],
             length=_integer("length", cfg["length"]),
@@ -317,7 +317,7 @@ def simulate(specfile, out):
     comma-separated sweeps.
     """
     with _spec_errors("simulate"):
-        cfg = _synth.parse_spec_file(specfile)
+        cfg = _synth.parse_spec_file(specfile, "mu l0 length trials seed".split())
 
         def sweep(key):
             try:

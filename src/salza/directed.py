@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from graphlib import CycleError, TopologicalSorter
+from typing import Iterable
 
 import numpy as np
 
@@ -61,12 +62,6 @@ class DirectedInfoMatrix:
     labels: tuple[str, ...]
     values: np.ndarray
     kind: str
-    threshold: float = DEFAULT_THRESHOLD
-
-
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 <= threshold < math.inf:
-        raise ValueError(f"threshold must be a finite number >= 0, not {threshold!r}")
 
 
 def _term(X: StringSet, j: int, exclude: set[int], kind: str, f: AdmissibleFunction | None,
@@ -99,7 +94,6 @@ def directed_info_matrix(
     X: StringSet,
     kind: str = "causal",
     f: AdmissibleFunction | None = None,
-    threshold: float = DEFAULT_THRESHOLD,
 ) -> DirectedInfoMatrix:
     """All ordered-pair influence values.
 
@@ -114,7 +108,6 @@ def directed_info_matrix(
     """
     if kind not in _KIND_MODES:
         raise ValueError(f"unknown kind: {kind}")
-    _check_threshold(threshold)
     n = len(X)
     if n < 2:
         raise ValueError("need at least two strings")
@@ -125,55 +118,42 @@ def directed_info_matrix(
         return [_term(X, j, {i}, kind, f, index) - base if i != j else 0.0 for i in range(n)]
 
     values = np.array([column(j) for j in range(n)]).T.copy()
-    return DirectedInfoMatrix(labels=X.labels, values=values, kind=kind, threshold=threshold)
+    return DirectedInfoMatrix(labels=X.labels, values=values, kind=kind)
 
 
-def extract_dag(m: DirectedInfoMatrix, threshold: float | None = None) -> list[tuple[int, int, float]]:
+def extract_dag(m: DirectedInfoMatrix, threshold: float = DEFAULT_THRESHOLD) -> list[tuple[int, int, float]]:
     """Edges (i, j, weight) with m[i][j] >= threshold.
 
     Cycles are possible under estimation noise; they trigger a warning, not
     an error.
     """
-    thr = m.threshold if threshold is None else threshold
-    _check_threshold(thr)
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be a finite number >= 0, not {threshold!r}")
     n = len(m.labels)
     edges = [
         (i, j, float(m.values[i, j]))
         for i in range(n)
         for j in range(n)
-        if i != j and m.values[i, j] >= thr
+        if i != j and m.values[i, j] >= threshold
     ]
-    if _has_cycle(n, edges):
+    if _has_cycle(edges):
         warnings.warn("extracted graph contains a cycle", stacklevel=2)
     return edges
 
 
-def _has_cycle(n: int, edges: Sequence[tuple[int, int, float]]) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in edges:
-        adj[i].append(j)
-    state = [0] * n  # 0 unseen, 1 on stack, 2 done
-    for start in range(n):
-        if state[start]:
-            continue
-        stack = [(start, iter(adj[start]))]
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if state[nxt] == 1:
-                    return True
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(adj[nxt])))
-                    break
-            else:
-                state[node] = 2
-                stack.pop()
+def _has_cycle(edges: Iterable[tuple]) -> bool:
+    """Whether the edges (i, j, ...), each from i to j, close a cycle."""
+    graph = TopologicalSorter()
+    for i, j, *_ in edges:
+        graph.add(j, i)
+    try:
+        graph.prepare()
+    except CycleError:
+        return True
     return False
 
 
-def to_dot(m: DirectedInfoMatrix, threshold: float | None = None) -> str:
+def to_dot(m: DirectedInfoMatrix, threshold: float = DEFAULT_THRESHOLD) -> str:
     """Graphviz rendering of the thresholded graph.
 
     Edge thickness scales linearly with the influence value; the raw value is

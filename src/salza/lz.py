@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +95,7 @@ class Context:
         return frozenset(np.bincount(np.frombuffer(b"".join(regions), np.uint8)).nonzero()[0].tolist())
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     """One factorizer output: a reference (length, source, offset) or a literal."""
 
     length: int

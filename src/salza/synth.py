@@ -11,6 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Collection
 
 import numpy as np
 
@@ -102,7 +103,7 @@ class DagSpec:
         if np.any(m < 0) or np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("connectivity rows must sum to 1")
         # edge j -> i whenever process i copies from process j
-        if _has_cycle(n, [(j, i, 0.0) for i, j in zip(*np.nonzero(m[:, :n]))]):
+        if _has_cycle((j, i) for i, j in zip(*np.nonzero(m[:, :n]))):
             raise ValueError("connectivity must be acyclic")
         if not 1 <= self.length <= MAX_LENGTH:
             raise ValueError(f"length must be in [1, {MAX_LENGTH}]")
@@ -230,12 +231,13 @@ def length_profile(spec: LengthProfileSpec) -> LengthProfile:
     return LengthProfile(spec=spec, threshold=out["t"], sigmoid=out["s"])
 
 
-def parse_spec_file(path: str | Path) -> dict:
+def parse_spec_file(path: str | Path, keys: Collection[str]) -> dict:
     """Plain key-value spec file with optional whitespace-separated matrix blocks.
 
     Lines are `key value`; a line consisting of just a key among
-    {transition, connectivity, matrix} starts a numeric block read until a
-    blank line or EOF.  `#` starts a comment.
+    {transition, connectivity} starts a numeric block read until a
+    blank line or EOF.  `#` starts a comment.  A key outside keys is
+    refused; a key given twice keeps its last value.
     """
     data: dict = {}
     matrix_key = None
@@ -256,7 +258,9 @@ def parse_spec_file(path: str | Path) -> dict:
                 matrix_key, rows = None, []
         parts = line.split(None, 1)
         key = parts[0].lower()
-        if key in ("transition", "connectivity", "matrix") and len(parts) == 1:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}")
+        if key in ("transition", "connectivity") and len(parts) == 1:
             matrix_key = key
             continue
         if len(parts) != 2:

@@ -358,6 +358,9 @@ def _markov_spec(line):
     (["gen", "markov"], "alphabet 3\nlength 100\ntransition\nnan 0.5 0.5\n0.2 0.3 0.5\n0.2 0.3 0.5\n",
      "markov", "transition"),
     (["gen", "dag"], DAG_SPEC.replace("0.9 0.0 0.1", "nan 0.0 0.1"), "dag", "connectivity"),
+    (["gen", "markov"], _markov_spec("realisations 3"), "markov", "unknown key 'realisations'"),
+    (["gen", "dag"], "transition 1\n" + DAG_SPEC, "dag", "unknown key 'transition'"),
+    (["simulate"], "mu 5\nl0 6\nlength 1024\ntrial 2\n", "simulate", "unknown key 'trial'"),
 ], ids=["markov-realizations-negative", "markov-realizations-0", "markov-realizations-fraction",
         "markov-seed-negative", "markov-length-not-a-number", "markov-alphabet-fraction",
         "dag-length-not-a-number", "dag-seed-negative", "dag-burnin-fraction",
@@ -366,7 +369,8 @@ def _markov_spec(line):
         "dag-alphabet-1", "dag-burnin-negative", "simulate-mu-nan", "simulate-mu-inf",
         "simulate-mu-negative", "simulate-l0-nan", "simulate-l0-inf", "simulate-l0-negative", "markov-length-1e300", "markov-length-2**31",
         "dag-length-1e300", "dag-length-2**31", "simulate-length-not-a-number",
-        "simulate-mu-not-a-number", "markov-transition-nan", "dag-connectivity-nan"])
+        "simulate-mu-not-a-number", "markov-transition-nan", "dag-connectivity-nan",
+        "markov-unknown-key", "dag-unknown-key", "simulate-unknown-key"])
 def test_bad_spec_value_is_one_line_error(runner, tmp_path, command, text, kind, key):
     spec = tmp_path / "bad.spec"
     spec.write_text(text)

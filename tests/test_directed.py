@@ -1,4 +1,4 @@
-from unittest import mock
+import itertools
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from salza.directed import (
     DEFAULT_THRESHOLD,
     DirectedInfoMatrix,
     StringSet,
+    _has_cycle,
     causal_directed_info,
     directed_info_matrix,
     extract_dag,
@@ -123,13 +124,12 @@ class TestMatrix:
 
 
 class TestExtractDag:
-    def _matrix(self, values, threshold=DEFAULT_THRESHOLD):
+    def _matrix(self, values):
         n = len(values)
         return DirectedInfoMatrix(
             labels=tuple(f"n{i}" for i in range(n)),
             values=np.array(values, dtype=float),
             kind="causal",
-            threshold=threshold,
         )
 
     def test_all_below_threshold(self):
@@ -161,10 +161,6 @@ class TestExtractDag:
         m = self._matrix([[0, 0.1], [0.0, 0]])
         with pytest.raises(ValueError, match="finite number >= 0"):
             extract_dag(m, threshold=threshold)
-        X = StringSet(("a", "b"), (b"abcabc" * 50, b"abcabd" * 50))
-        with mock.patch("salza.directed.conditional_complexity", side_effect=AssertionError):
-            with pytest.raises(ValueError, match="finite number >= 0"):  # before any term
-                directed_info_matrix(X, threshold=threshold)
 
     def test_negative_cells_not_clamped(self):
         m = self._matrix([[0, -0.02], [0.3, 0]])
@@ -185,7 +181,39 @@ class TestDot:
         assert 'weight="0.04"' in dot
         assert "penwidth=4.000" in dot
 
+    def test_threshold_is_an_argument(self):
+        m = DirectedInfoMatrix(labels=("a", "b"), values=np.array([[0, 1e-3], [-1e-3, 0]]), kind="causal")
+        assert 1e-3 < DEFAULT_THRESHOLD
+        assert "->" not in to_dot(m)
+        assert to_dot(m, 0.0).count("->") == 1
+        assert '"a" -> "b" [weight="0.001"' in to_dot(m, 0.0)
+
     def test_empty_graph_keeps_nodes(self):
         m = DirectedInfoMatrix(labels=("a", "b"), values=np.zeros((2, 2)), kind="full")
         dot = to_dot(m)
         assert '"a";' in dot and "->" not in dot
+
+
+def _reaches_itself(n, edges):
+    """Brute force: some node i reaches i again by one or more edges."""
+    reach = {(i, j) for i, j in edges}
+    for k, i, j in itertools.product(range(n), repeat=3):  # Warshall, k outermost
+        if (i, k) in reach and (k, j) in reach:
+            reach.add((i, j))
+    return any((i, i) in reach for i in range(n))
+
+
+def test_has_cycle_agrees_with_brute_force():
+    rng = np.random.default_rng(15)
+    cyclic = 0
+    for _ in range(500):
+        n = int(rng.integers(1, 8))
+        adj = rng.random((n, n)) < rng.uniform(0.05, 0.4)  # the diagonal gives self-loops
+        edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(adj))]
+        expected = _reaches_itself(n, edges)
+        assert _has_cycle(edges) == expected, edges
+        assert _has_cycle([(i, j, 0.5) for i, j in edges]) == expected
+        cyclic += expected
+    assert 100 < cyclic < 400
+    assert _has_cycle([(0, 0)]) and _has_cycle([(0, 1), (2, 3), (3, 2)])
+    assert not _has_cycle([]) and not _has_cycle([(0, 1), (1, 2), (0, 2)])

@@ -120,6 +120,10 @@ class TestDagProcesses:
         with pytest.raises(ValueError, match="acyclic"):
             DagSpec(m, length=100, seed=0)
 
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="acyclic"):  # the process copies from its own past
+            DagSpec(np.array([[0.5, 0.5]]), length=100, seed=0)
+
     def test_long_acyclic_chain_accepted(self):
         # each process copies from the one before it: a chain deeper than the recursion limit
         n = 1100
@@ -233,7 +237,7 @@ class TestSpecFile:
             "0.1 0.8 0.1\n"
             "0.1 0.1 0.8\n"
         )
-        data = parse_spec_file(p)
+        data = parse_spec_file(p, ["alphabet", "length", "seed", "scale", "name", "transition"])
         assert data["alphabet"] == 3 and data["length"] == 500
         assert data["scale"] == 1.5 and data["name"] == "demo"
         assert data["transition"].shape == (3, 3)
@@ -242,7 +246,7 @@ class TestSpecFile:
     def test_matrix_block_ends_at_blank_line(self, tmp_path):
         p = tmp_path / "dag.spec"
         p.write_text("connectivity\n0 1\n1 0\n\nlength 64\n")
-        data = parse_spec_file(p)
+        data = parse_spec_file(p, ["connectivity", "length"])
         assert data["connectivity"].shape == (2, 2)
         assert data["length"] == 64
 
@@ -250,4 +254,13 @@ class TestSpecFile:
         p = tmp_path / "bad.spec"
         p.write_text("justakey\n")
         with pytest.raises(ValueError, match="malformed"):
-            parse_spec_file(p)
+            parse_spec_file(p, ["justakey"])
+
+    def test_unknown_key_rejected(self, tmp_path):
+        p = tmp_path / "chain.spec"
+        p.write_text("length 64\nrealisations 3\nmatrix\n1 0\n")
+        with pytest.raises(ValueError, match="unknown key 'realisations'"):
+            parse_spec_file(p, ["length", "realizations"])
+        p.write_text("length 64\nmatrix\n1 0\n")  # no longer a block key
+        with pytest.raises(ValueError, match="unknown key 'matrix'"):
+            parse_spec_file(p, ["length", "transition", "connectivity"])

@@ -15,7 +15,8 @@ _HOMES = {
     "estimators": ("AdmissibleFunction", "Estimate", "conditional_complexity", "joint_complexity",
                    "meaningful_cutoff", "nsd", "nsd_matrix", "sigmoid_function",
                    "simple_complexity", "table_function", "threshold_function"),
-    "lz": ("Context", "Factorization", "Mode", "Symbol", "decode", "factorize"),
+    "lz": ("Context", "Factorization", "Symbol", "decode", "factorize"),
+    "params": ("Mode",),
     "synth": ("DagSpec", "LengthProfileSpec", "MarkovSpec", "generate_dag_processes",
               "generate_markov", "length_profile"),
 }

@@ -8,6 +8,7 @@ thread count never changes the output bytes.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import math
 import os
 import sys
@@ -16,28 +17,37 @@ from pathlib import Path
 
 import click
 
-if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
-    # salza makes no BLAS call (no dot, @, linalg or einsum), so OpenBLAS's
-    # worker threads, started when numpy loads, would only spin: about 0.1 s
-    # of CPU per process on two cores.  OpenBLAS reads the variable once, as
-    # it loads, so the environment is put back as it was right after.
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy  # noqa: F401
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-
 from . import cluster as _cluster
-from . import directed as _directed
-from . import estimators as _est
-from . import synth as _synth
 from . import tsv as _tsv
-from .lz import Context, Mode, factorize
-
-_MODES = {m.value: m for m in Mode}
+from .params import DEFAULT_THRESHOLD, Mode
 
 
-def _load_function(func: str, l0: str) -> _est.AdmissibleFunction:
+def _numeric(name: str):
+    """salza's module `name`, imported on first use: a numeric command loads
+    numpy and the modules it uses when it runs, and `cluster` loads neither.
+
+    salza makes no BLAS call (no dot, @, linalg or einsum), so OpenBLAS's
+    worker threads, started when numpy loads, would only spin: about 0.1 s
+    of CPU per process on two cores.  OpenBLAS reads the variable once, as
+    it loads, so the environment is put back as it was right after.
+    """
+    if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy  # noqa: F401
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return importlib.import_module(f".{name}", __package__)
+
+
+def factorize(target: bytes, context):
+    """lz.factorize, loaded on first use.  The `factorize` command calls it by
+    this name, which perfbench's tracer wraps."""
+    return _numeric("lz").factorize(target, context)
+
+
+def _load_function(func: str, l0: str):
+    est = _numeric("estimators")
     if func.startswith("table:"):
         path = func[6:]
         table = {}
@@ -53,11 +63,11 @@ def _load_function(func: str, l0: str) -> _est.AdmissibleFunction:
             if length in table:
                 raise ValueError(f"{path}: line {i}: length {length} given twice")
             table[length] = value
-        return _est.table_function(table)
+        return est.table_function(table)
     if func not in ("sigmoid", "threshold"):
         raise ValueError(f"unknown admissible function: {func}")
     try:
-        return _est.AdmissibleFunction(func, None if l0 == "auto" else float(l0))
+        return est.AdmissibleFunction(func, None if l0 == "auto" else float(l0))
     except ValueError:
         raise ValueError(f"--l0 must be 'auto' or a finite number >= 0, not {l0!r}") from None
 
@@ -181,7 +191,7 @@ def nsd(files, func, l0, threads, out):
     fn = _load_function(func, l0)
     _check_writable(out)
     labels, data = _read_corpus(files)
-    _tsv.write_matrix(out, labels, _est.nsd_matrix(data, fn))
+    _tsv.write_matrix(out, labels, _numeric("estimators").nsd_matrix(data, fn))
 
 
 @main.command()
@@ -205,7 +215,7 @@ def cluster(matrix, method, out, show_ascii):
 @click.option("--kind", type=click.Choice(["causal", "full"]), default="causal", show_default=True)
 @func_option
 @l0_option
-@click.option("--threshold", type=str, default=_directed.DEFAULT_THRESHOLD, show_default=True,
+@click.option("--threshold", type=str, default=DEFAULT_THRESHOLD, show_default=True,
               metavar="FLOAT",
               callback=_number(float, "a finite number >= 0", lambda x: 0.0 <= x < math.inf),
               help="Edge filter on directed information values.")
@@ -218,13 +228,14 @@ def causality(files, kind, func, l0, threshold, threads, out, matrix_out):
     if len(files) < 2:
         raise click.ClickException("need at least two input files")
     fn = _load_function(func, l0)
+    directed = _numeric("directed")
     _check_writable(out, matrix_out)
     labels, data = _read_corpus(files)
-    X = _directed.StringSet(tuple(labels), tuple(data))
-    m = _directed.directed_info_matrix(X, kind=kind, f=fn)
+    X = directed.StringSet(tuple(labels), tuple(data))
+    m = directed.directed_info_matrix(X, kind=kind, f=fn)
     if matrix_out:
         _tsv.write_matrix(matrix_out, labels, m.values)
-    Path(out).write_text(_directed.to_dot(m, threshold))
+    Path(out).write_text(directed.to_dot(m, threshold))
 
 
 @main.group()
@@ -241,11 +252,12 @@ def markov(specfile, out_dir):
     Keys: alphabet, length, seed, realizations (default 1), id (label tag),
     then a `transition` matrix block.
     """
+    synth = _numeric("synth")
     with _spec_errors("markov"):
-        cfg = _synth.parse_spec_file(specfile, "alphabet length seed realizations id transition".split())
+        cfg = synth.parse_spec_file(specfile, "alphabet length seed realizations id transition".split())
         count = _integer("realizations", cfg.get("realizations", 1), 1)
         base_seed = _integer("seed", cfg.get("seed", 0), 0)
-        specs = [_synth.MarkovSpec(
+        specs = [synth.MarkovSpec(
             alphabet_size=_integer("alphabet", cfg["alphabet"]),
             transition=cfg["transition"],
             length=_integer("length", cfg["length"]),
@@ -256,7 +268,7 @@ def markov(specfile, out_dir):
     outdir.mkdir(parents=True, exist_ok=True)
     for c, spec in enumerate(specs):
         label = f"alpha{spec.alphabet_size}_m{tag}_c{c}"
-        (outdir / label).write_bytes(_synth.generate_markov(spec))
+        (outdir / label).write_bytes(synth.generate_markov(spec))
         click.echo(str(outdir / label))
 
 
@@ -271,9 +283,10 @@ def dag(specfile, out_dir):
     matrix block of shape N x (N+1) whose last column is the innovation
     probability.
     """
+    synth = _numeric("synth")
     with _spec_errors("dag"):
-        cfg = _synth.parse_spec_file(specfile, "length seed burnin scale alphabet connectivity".split())
-        spec = _synth.DagSpec(
+        cfg = synth.parse_spec_file(specfile, "length seed burnin scale alphabet connectivity".split())
+        spec = synth.DagSpec(
             connectivity=cfg["connectivity"],
             length=_integer("length", cfg["length"]),
             seed=_integer("seed", cfg.get("seed", 0), 0),
@@ -281,7 +294,7 @@ def dag(specfile, out_dir):
             copy_scale=float(cfg.get("scale", 20.0)),
             alphabet_size=_integer("alphabet", cfg.get("alphabet", 256)),
         )
-    strings = _synth.generate_dag_processes(spec)
+    strings = synth.generate_dag_processes(spec)
     outdir = Path(out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for label, blob in zip(strings.labels, strings.strings):
@@ -292,14 +305,14 @@ def dag(specfile, out_dir):
 @main.command("factorize")
 @click.argument("target", type=click.Path())
 @click.argument("sources", nargs=-1, type=click.Path())
-@click.option("--mode", "mode_name", type=click.Choice(sorted(_MODES)), default="all",
+@click.option("--mode", "mode_name", type=click.Choice(sorted(m.value for m in Mode)), default="all",
               show_default=True, help="Conditioning mode.")
 @click.option("--out", type=click.Path(), default=None, help="Output TSV (default stdout).")
 def factorize_cmd(target, sources, mode_name, out):
     """Dump the symbol stream of TARGET factorized against SOURCES."""
     _check_writable(out)
     labels, data = _read_corpus((target,) + sources)
-    fact = factorize(data[0], Context(tuple(data[1:]), _MODES[mode_name]))
+    fact = factorize(data[0], _numeric("lz").Context(tuple(data[1:]), Mode(mode_name)))
     text = _tsv.symbols_tsv(fact, labels[1:])
     if out:
         Path(out).write_text(text)
@@ -316,8 +329,9 @@ def simulate(specfile, out):
     Keys: mu, l0, length, trials (default 200), seed.  mu and length accept
     comma-separated sweeps.
     """
+    synth = _numeric("synth")
     with _spec_errors("simulate"):
-        cfg = _synth.parse_spec_file(specfile, "mu l0 length trials seed".split())
+        cfg = synth.parse_spec_file(specfile, "mu l0 length trials seed".split())
 
         def sweep(key):
             try:
@@ -328,13 +342,13 @@ def simulate(specfile, out):
         l0 = float(cfg["l0"])
         trials = _integer("trials", cfg.get("trials", 200))
         seed = _integer("seed", cfg.get("seed", 0), 0)
-        specs = [_synth.LengthProfileSpec(mu=mu, l0=l0, target_length=_integer("length", n),
-                                          trials=trials, seed=seed)
+        specs = [synth.LengthProfileSpec(mu=mu, l0=l0, target_length=_integer("length", n),
+                                         trials=trials, seed=seed)
                  for mu in sweep("mu") for n in sweep("length")]
     _check_writable(out)
     lines = ["mu\tlength\tl0\tthreshold_S\tthreshold_value\tsigmoid_S\tsigmoid_value\tZ"]
     for spec in specs:
-        prof = _synth.length_profile(spec)
+        prof = synth.length_profile(spec)
         lines.append("\t".join([
             _tsv.fmt(spec.mu), str(spec.target_length), _tsv.fmt(spec.l0),
             _tsv.fmt(prof.threshold.spread), _tsv.fmt(prof.threshold.value),

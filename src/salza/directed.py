@@ -20,8 +20,7 @@ import numpy as np
 from .estimators import AdmissibleFunction, conditional_complexity
 from .index import Index
 from .lz import Context, Mode
-
-DEFAULT_THRESHOLD = 5e-3
+from .params import DEFAULT_THRESHOLD
 
 _KIND_MODES = {"causal": Mode.PAST_OF_BOTH, "full": Mode.PAST_AND_SOURCES}
 

@@ -11,31 +11,18 @@ parse (walk) steps over the best of them.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .index import Index, best_matches
+from .params import Mode
 
 MIN_MATCH = 3
 
 # Region id used for the target's own past.
 SELF = -1
-
-
-class Mode(enum.Enum):
-    """Which parts of the context may be referenced at lookahead position t."""
-
-    #: The position-aligned past of the single source: source[0 : min(t, len(source))).
-    SOURCE_PAST = "past"
-    #: Every byte of every source (cross parsing); the target's past is excluded.
-    SOURCE_ALL = "all"
-    #: The target's own past plus the aligned past of every source.
-    PAST_OF_BOTH = "both"
-    #: The target's own past plus every byte of every source.
-    PAST_AND_SOURCES = "past-all"
 
 
 _OWN_PAST_MODES = (Mode.PAST_OF_BOTH, Mode.PAST_AND_SOURCES)

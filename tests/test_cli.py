@@ -40,6 +40,7 @@ class TestNsd:
         res = runner.invoke(main, ["nsd", *files, "--out", str(out)])
         assert res.exit_code == 0, res.output
         labels, d = read_matrix(out)
+        d = np.asarray(d)
         assert labels == ["alpha", "beta", "gamma"]
         assert np.allclose(d, d.T) and np.all(np.diag(d) == 0)
         # related texts are much closer than the unrelated byte ramp
@@ -181,7 +182,7 @@ class TestCausality:
         assert '"p1" -> "p0"' not in text
         labels, values = read_matrix(mat)
         assert labels == ["p0", "p1"]
-        assert values[0, 1] > 5e-3 > values[1, 0]
+        assert values[0][1] > 5e-3 > values[1][0]
 
     def test_kind_and_threshold_flags(self, runner, tmp_path):
         files = write_corpus(tmp_path, {"x": SAMPLE["alpha"], "y": SAMPLE["beta"]})

@@ -9,6 +9,7 @@ from salza.cluster import (
     to_newick,
     upgma,
 )
+import tree_oracle
 from treeutil import (
     additive_matrix,
     has_clade,
@@ -37,6 +38,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-finite distance .* between 'a' and 'c'"):
             dm(["a", "b", "c"], [[0, 1, bad], [1, 0, 1], [bad, 1, 0]])
 
+    @pytest.mark.parametrize("values", [[[0, 1], [1]], [[0, 1], [1, 0], [1, 1]], [0, 1], [[0, [1]], [1, 0]]],
+                             ids=["ragged", "extra-row", "flat", "nested-cell"])
+    def test_shape_mismatch_rejected(self, values):
+        with pytest.raises(ValueError, match="^matrix shape does not match labels$"):
+            DistanceMatrix(("a", "b"), values)
+
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValueError, match="diagonal"):
             dm(["a", "b"], [[1, 2], [2, 0]])
@@ -44,6 +51,13 @@ class TestValidation:
     def test_too_small(self):
         with pytest.raises(ValueError):
             dm(["a"], [[0]])
+
+
+def test_values_are_rows_of_floats():
+    for values in ([[0, 1], [1, 0]], np.array([[0, 1], [1, 0]])):
+        m = DistanceMatrix(("a", "b"), values)
+        assert m.values == ((0.0, 1.0), (1.0, 0.0))
+        assert all(type(x) is float for row in m.values for x in row)
 
 
 class TestNeighborJoining:
@@ -88,6 +102,13 @@ class TestNeighborJoining:
             labels, d = additive_matrix(truth)
             recovered = neighbor_joining(dm(labels, d))
             assert unrooted_splits(recovered) == unrooted_splits(truth)
+
+    def test_q_tie_keeps_left_to_right_row_sums(self):
+        # q01 = q23 in real arithmetic.  Row sums added left to right make q23
+        # the lower in floats, so c and d join first; compensated sums (math.fsum,
+        # or `sum` from Python 3.12) would join a and b first.
+        d = [[0, 0.31, 0.4, 0.65], [0.31, 0, 0.41, 0.45], [0.4, 0.41, 0, 0.22], [0.65, 0.45, 0.22, 0]]
+        assert to_newick(neighbor_joining(dm("abcd", d))) == "(a:0.2025,b:0.1075,(c:0.0375,d:0.1825):0.2125);"
 
     def test_label_preservation(self):
         rng = np.random.default_rng(1)
@@ -151,6 +172,33 @@ class TestUpgma:
                 return out
             root_h = max(mat.max() / 2, 0)
             assert np.allclose(depths(t, 0.0), root_h)
+
+
+def _branch_lengths(t: TreeNode) -> list[float]:
+    out = []
+    for child, bl in t.children:
+        out += [bl, *_branch_lengths(child)]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["real", "integer", "3-decimal"])
+def test_equal_to_numpy_oracle(kind):
+    """UPGMA gives the oracle's Newick.  So does NJ where numpy adds its row sums
+    left to right (fewer than 8 entries) or exactly (integers); elsewhere only
+    the last bits of NJ's branch lengths may differ."""
+    rng = np.random.default_rng(["real", "integer", "3-decimal"].index(kind))
+    for n in range(2, 41):
+        for _ in range(3):
+            a = rng.uniform(0, 10, (n, n))
+            a = {"real": a, "integer": np.floor(a), "3-decimal": np.round(a, 3)}[kind]
+            m = dm([f"x{i}" for i in range(n)], np.triu(a, 1) + np.triu(a, 1).T)
+            assert to_newick(upgma(m)) == to_newick(tree_oracle.upgma(m))
+            got, want = neighbor_joining(m), tree_oracle.neighbor_joining(m)
+            if n <= 7 or kind == "integer":
+                assert to_newick(got) == to_newick(want)
+            else:
+                assert unrooted_splits(got) == unrooted_splits(want)
+                assert _branch_lengths(got) == pytest.approx(_branch_lengths(want), rel=1e-9)
 
 
 class TestNewick:

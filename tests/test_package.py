@@ -1,5 +1,5 @@
-"""The lazy package namespace, and how the CLI starts numpy; what an import does is
-checked in a fresh interpreter."""
+"""The lazy package namespace, and how the CLI starts numpy; what an import or a
+CLI run does is checked in a fresh interpreter."""
 
 import importlib
 import os
@@ -58,25 +58,46 @@ def test_star_import_binds_all():
     assert all(namespace[name] is getattr(salza, name) for name in salza.__all__)
 
 
+def _corpus(path: Path) -> None:
+    for name, blob in SAMPLE.items():
+        (path / name).write_bytes(blob)
+
+
+# A numeric command run in-process: it loads numpy, and what the run did to
+# the environment shows afterwards.
+NSD_RUN = ("import os, sys\nbefore = dict(os.environ)\nfrom salza import cli\n"
+           f"cli.main(['nsd', *{list(SAMPLE)!r}, '--out', 'd.tsv'], standalone_mode=False)\n"
+           "assert 'numpy' in sys.modules and dict(os.environ) == before\n")
+
+
 @pytest.mark.parametrize("start", [{}, {"OPENBLAS_NUM_THREADS": "3"}], ids=["unset", "set"])
-def test_cli_import_leaves_environment_as_it_was(start):
-    code = ("import os\nbefore = dict(os.environ)\nfrom salza import cli\n"
-            "assert dict(os.environ) == before\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))")
-    assert _python("-c", code, **start) == f"{start.get('OPENBLAS_NUM_THREADS')}\n"
+def test_cli_import_leaves_environment_as_it_was(start, tmp_path):
+    _corpus(tmp_path)
+    code = NSD_RUN + "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _python("-c", code, cwd=tmp_path, **start) == f"{start.get('OPENBLAS_NUM_THREADS')}\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
-def test_cli_import_starts_no_blas_threads():
-    code = ("from salza import cli\n"
-            "print([ln for ln in open('/proc/self/status') if ln.startswith('Threads:')][0].split()[1])")
-    assert _python("-c", code) == "1\n"
+def test_cli_import_starts_no_blas_threads(tmp_path):
+    _corpus(tmp_path)
+    code = NSD_RUN + ("print([ln for ln in open('/proc/self/status') "
+                      "if ln.startswith('Threads:')][0].split()[1])")
+    assert _python("-c", code, cwd=tmp_path) == "1\n"
+
+
+@pytest.mark.parametrize("args", [["cluster", "d.tsv", "--method", "nj", "--out", "t.nwk"],
+                                  ["cluster", "d.tsv", "--method", "upgma", "--out", "t.nwk"],
+                                  ["--help"]], ids=["nj", "upgma", "help"])
+def test_cluster_and_help_load_no_numpy(args, tmp_path):
+    (tmp_path / "d.tsv").write_text("\ta\tb\tc\na\t0\t1\t2\nb\t1\t0\t2\nc\t2\t2\t0\n")
+    code = (f"import sys\nfrom salza import cli\ncli.main({args!r}, standalone_mode=False)\n"
+            "print('numpy' in sys.modules)")
+    assert _python("-c", code, cwd=tmp_path).splitlines()[-1] == "False"
 
 
 def test_cli_outputs_do_not_depend_on_blas_threads(tmp_path):
-    files = []
-    for name, blob in SAMPLE.items():
-        (tmp_path / name).write_bytes(blob)
-        files.append(name)
+    _corpus(tmp_path)
+    files = list(SAMPLE)
     outputs = []
     for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
         _python("-m", "salza.cli", "nsd", *files, "--out", "d.tsv", cwd=tmp_path, **env)

@@ -8,6 +8,7 @@ thread count never changes the output bytes.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import importlib
 import math
 import os
@@ -77,21 +78,16 @@ def _spec_errors(kind: str):
     """A missing key or a bad value in a spec file names the spec kind."""
     try:
         yield
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"bad {kind} spec: {exc.args[0]} is missing") from exc
+    except ValueError as exc:
         raise ValueError(f"bad {kind} spec: {exc}") from exc
 
 
-def _integer(key: str, value, least: int | None = None) -> int:
-    """A spec value that must be an integer (>= least, if given); the error names the key.
-
-    A float with no fractional part counts as its integer.
-    """
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or least is not None and value < least:
-        rule = "an integer" if least is None else f"an integer >= {least}"
-        raise ValueError(f"{key} must be {rule}, not {value!r}")
-    return value
+def _given(cfg: dict, **keys: str) -> dict:
+    """The spec fields that cfg gives: keys maps each field to its spec-file
+    key.  A field whose key cfg lacks keeps its spec class's default."""
+    return {field: cfg[key] for field, key in keys.items() if key in cfg}
 
 
 def _check_writable(*paths: str | None) -> None:
@@ -157,9 +153,9 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 class _Main(click.Group):
     """Reports a ValueError or OSError from any command (bad user input: a bad
-    value, a missing or unwritable file) as a one-line `Error:`, status 1, and
-    a warning from the library as a one-line `warning:`; the warning filters
-    stay as they are."""
+    value, a missing or unwritable file) or a MemoryError (an input too large
+    for this machine) as a one-line `Error:`, status 1, and a warning from the
+    library as a one-line `warning:`; the warning filters stay as they are."""
 
     def invoke(self, ctx):
         try:
@@ -171,6 +167,8 @@ class _Main(click.Group):
         except (OSError, ValueError) as exc:
             name = getattr(exc, "filename", None)
             raise click.ClickException(f"{name}: {exc.strerror}" if name else str(exc)) from exc
+        except MemoryError as exc:
+            raise click.ClickException(str(exc) or "out of memory") from exc
 
 
 @click.group(cls=_Main)
@@ -249,26 +247,23 @@ def gen():
 def markov(specfile, out_dir):
     """Seeded first-order Markov realizations from SPECFILE.
 
-    Keys: alphabet, length, seed, realizations (default 1), id (label tag),
-    then a `transition` matrix block.
+    Keys: alphabet, length, seed (default 0; realization c gets seed + c),
+    realizations (default 1), id (label tag, default 0), then a `transition`
+    matrix block.
     """
     synth = _numeric("synth")
     with _spec_errors("markov"):
         cfg = synth.parse_spec_file(specfile, "alphabet length seed realizations id transition".split())
-        count = _integer("realizations", cfg.get("realizations", 1), 1)
-        base_seed = _integer("seed", cfg.get("seed", 0), 0)
-        specs = [synth.MarkovSpec(
-            alphabet_size=_integer("alphabet", cfg["alphabet"]),
-            transition=cfg["transition"],
-            length=_integer("length", cfg["length"]),
-            seed=base_seed + c,
-        ) for c in range(count)]
-    tag = cfg.get("id", 0)
+        first = synth.MarkovSpec(cfg["alphabet"], cfg["transition"], cfg["length"], **_given(cfg, seed="seed"))
+        count = synth.integer("realizations", cfg.get("realizations", 1), 1)
+        tag = cfg.get("id", 0)
+        if Path(f"m{tag}").name != f"m{tag}" or "\0" in str(tag):
+            raise ValueError(f"id must be usable in a file name, not {tag!r}")
     outdir = Path(out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for c, spec in enumerate(specs):
-        label = f"alpha{spec.alphabet_size}_m{tag}_c{c}"
-        (outdir / label).write_bytes(synth.generate_markov(spec))
+    for c in range(count):
+        label = f"alpha{first.alphabet_size}_m{tag}_c{c}"
+        (outdir / label).write_bytes(synth.generate_markov(dataclasses.replace(first, seed=first.seed + c)))
         click.echo(str(outdir / label))
 
 
@@ -278,22 +273,16 @@ def markov(specfile, out_dir):
 def dag(specfile, out_dir):
     """Dependent DAG process realizations from SPECFILE.
 
-    Keys: length, seed, burnin (default 12), scale (copy length per unit
-    probability, default 20), alphabet (default 256), then a `connectivity`
-    matrix block of shape N x (N+1) whose last column is the innovation
-    probability.
+    Keys: length, seed (default 0), burnin (default 12), scale (copy length
+    per unit probability, default 20), alphabet (default 256), then a
+    `connectivity` matrix block of shape N x (N+1) whose last column is the
+    innovation probability.
     """
     synth = _numeric("synth")
     with _spec_errors("dag"):
         cfg = synth.parse_spec_file(specfile, "length seed burnin scale alphabet connectivity".split())
-        spec = synth.DagSpec(
-            connectivity=cfg["connectivity"],
-            length=_integer("length", cfg["length"]),
-            seed=_integer("seed", cfg.get("seed", 0), 0),
-            burn_in=_integer("burnin", cfg.get("burnin", 12)),
-            copy_scale=float(cfg.get("scale", 20.0)),
-            alphabet_size=_integer("alphabet", cfg.get("alphabet", 256)),
-        )
+        spec = synth.DagSpec(cfg["connectivity"], cfg["length"], **_given(
+            cfg, seed="seed", burn_in="burnin", copy_scale="scale", alphabet_size="alphabet"))
     strings = synth.generate_dag_processes(spec)
     outdir = Path(out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -326,35 +315,21 @@ def factorize_cmd(target, sources, mode_name, out):
 def simulate(specfile, out):
     """Symbol-length formula study (no factorization) from SPECFILE.
 
-    Keys: mu, l0, length, trials (default 200), seed.  mu and length accept
-    comma-separated sweeps.
+    Keys: mu, l0, length, trials (default 200), seed (default 0).  mu and
+    length accept comma-separated sweeps.
     """
     synth = _numeric("synth")
     with _spec_errors("simulate"):
-        cfg = synth.parse_spec_file(specfile, "mu l0 length trials seed".split())
-
-        def sweep(key):
-            try:
-                return [float(v) for v in str(cfg[key]).split(",")]
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
-
-        l0 = float(cfg["l0"])
-        trials = _integer("trials", cfg.get("trials", 200))
-        seed = _integer("seed", cfg.get("seed", 0), 0)
-        specs = [synth.LengthProfileSpec(mu=mu, l0=l0, target_length=_integer("length", n),
-                                         trials=trials, seed=seed)
-                 for mu in sweep("mu") for n in sweep("length")]
+        cfg = synth.parse_spec_file(specfile, "mu l0 length trials seed".split(), lists=("mu", "length"))
+        given = _given(cfg, trials="trials", seed="seed")
+        specs = [synth.LengthProfileSpec(mu, cfg["l0"], n, **given) for mu in cfg["mu"] for n in cfg["length"]]
     _check_writable(out)
     lines = ["mu\tlength\tl0\tthreshold_S\tthreshold_value\tsigmoid_S\tsigmoid_value\tZ"]
     for spec in specs:
         prof = synth.length_profile(spec)
-        lines.append("\t".join([
-            _tsv.fmt(spec.mu), str(spec.target_length), _tsv.fmt(spec.l0),
-            _tsv.fmt(prof.threshold.spread), _tsv.fmt(prof.threshold.value),
-            _tsv.fmt(prof.sigmoid.spread), _tsv.fmt(prof.sigmoid.value),
-            _tsv.fmt(prof.threshold.size),
-        ]))
+        lines.append("\t".join([_tsv.fmt(spec.mu), str(spec.target_length), *map(_tsv.fmt, (
+            spec.l0, prof.threshold.spread, prof.threshold.value, prof.sigmoid.spread,
+            prof.sigmoid.value, prof.threshold.size))]))
     text = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(text)

@@ -7,7 +7,9 @@ runs and platforms.  OS randomness is never used.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,27 +30,55 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+#: The range of each integer spec key, by its spec-file name.
+_RANGES = {"alphabet": (2, 256), "length": (1, MAX_LENGTH), "burnin": (0, MAX_LENGTH),
+           "seed": (0, math.inf), "trials": (1, math.inf)}
+
+
+def integer(key: str, value, least: int, most: float = math.inf) -> int:
+    """value, an int, a numpy integer or a float with no fractional part, as an
+    int in [least, most]; anything else is a ValueError that starts with key."""
+    number = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(number, numbers.Integral) and least <= number <= most:
+        return int(number)
+    rule = f"in [{least}, {most}]" if most < math.inf else f">= {least}"
+    raise ValueError(f"{key} must be an integer {rule}, not {value!r}")
+
+
+def _real(key: str, value, zero_ok: bool = False) -> float:
+    """value, a real number, as a float that is finite and above 0 (or 0 too,
+    if zero_ok); anything else is a ValueError that starts with key."""
+    with contextlib.suppress(OverflowError):  # an int too large for a float
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+        if 0 < number < math.inf or zero_ok and number == 0:
+            return number
+    raise ValueError(f"{key} must be a finite number {'>=' if zero_ok else '>'} 0, not {value!r}")
+
+
+def _integers(spec, **keys: str) -> None:
+    """Sets each named field of a frozen spec to its value as an int, in the
+    range of its spec-file key: keys maps each field to its key."""
+    for field, key in keys.items():
+        object.__setattr__(spec, field, integer(key, getattr(spec, field), *_RANGES[key]))
+
+
 @dataclass(frozen=True)
 class MarkovSpec:
     alphabet_size: int
     transition: np.ndarray  # row-stochastic, (a, a)
     length: int
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
+        _integers(self, alphabet_size="alphabet", length="length", seed="seed")
         m = np.asarray(self.transition, dtype=float)
         object.__setattr__(self, "transition", m)
-        a = self.alphabet_size
-        if not 2 <= a <= 256:
-            raise ValueError("alphabet size must be in [2, 256]")
-        if m.shape != (a, a):
+        if m.shape != (self.alphabet_size,) * 2:
             raise ValueError("transition matrix shape does not match alphabet")
         if not np.isfinite(m).all():
             raise ValueError("transition matrix entries must be finite numbers")
         if np.any(m < 0) or np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("transition matrix rows must sum to 1")
-        if not 1 <= self.length <= MAX_LENGTH:
-            raise ValueError(f"length must be in [1, {MAX_LENGTH}]")
 
 
 def generate_markov(spec: MarkovSpec) -> bytes:
@@ -86,13 +116,15 @@ class DagSpec:
 
     connectivity: np.ndarray
     length: int
-    seed: int
+    seed: int = 0
     burn_in: int = 12
     copy_scale: float = 20.0
     alphabet_size: int = 256
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        _integers(self, length="length", seed="seed", burn_in="burnin", alphabet_size="alphabet")
+        object.__setattr__(self, "copy_scale", _real("scale", self.copy_scale))
         m = np.asarray(self.connectivity, dtype=float)
         object.__setattr__(self, "connectivity", m)
         n = m.shape[0]
@@ -105,14 +137,6 @@ class DagSpec:
         # edge j -> i whenever process i copies from process j
         if _has_cycle((j, i) for i, j in zip(*np.nonzero(m[:, :n]))):
             raise ValueError("connectivity must be acyclic")
-        if not 1 <= self.length <= MAX_LENGTH:
-            raise ValueError(f"length must be in [1, {MAX_LENGTH}]")
-        if not 2 <= self.alphabet_size <= 256:
-            raise ValueError("alphabet size must be in [2, 256]")
-        if self.burn_in < 0:
-            raise ValueError("burn-in must be >= 0")
-        if not 0 < self.copy_scale < math.inf:
-            raise ValueError(f"scale must be a finite number > 0, not {self.copy_scale!r}")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(f"p{i}" for i in range(n)))
         elif len(self.labels) != n:
@@ -174,14 +198,9 @@ class LengthProfileSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.mu < math.inf:
-            raise ValueError(f"mu must be a finite number > 0, not {self.mu!r}")
-        if not 0 <= self.l0 < math.inf:
-            raise ValueError(f"l0 must be a finite number >= 0, not {self.l0!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.target_length < 1:
-            raise ValueError("target length must be positive")
+        object.__setattr__(self, "mu", _real("mu", self.mu))
+        object.__setattr__(self, "l0", _real("l0", self.l0, zero_ok=True))
+        _integers(self, target_length="length", trials="trials", seed="seed")
 
 
 @dataclass(frozen=True)
@@ -216,28 +235,39 @@ def _poisson_lengths(rng: np.random.Generator, mu: float, total: int) -> np.ndar
 def length_profile(spec: LengthProfileSpec) -> LengthProfile:
     """Average the two-factor estimate over seeded Poisson length draws."""
     rng = _rng(spec.seed)
-    ft = threshold_function(spec.l0)
-    fs = sigmoid_function(spec.l0)
-    sums = {"t": np.zeros(3), "s": np.zeros(3)}
+    fns = (threshold_function(spec.l0), sigmoid_function(spec.l0))
+    sums = np.zeros((2, 3))  # value, spread, size: threshold, then sigmoid
     for _ in range(spec.trials):
         lengths = _poisson_lengths(rng, spec.mu, spec.target_length)
-        for key, fn in (("t", ft), ("s", fs)):
+        for row, fn in zip(sums, fns):
             est = estimate_from_lengths(lengths, spec.target_length, fn)
-            sums[key] += (est.value, est.spread, est.size)
-    out = {}
-    for key in ("t", "s"):
-        v, s, z = sums[key] / spec.trials
-        out[key] = Estimate(value=v, spread=s, size=z)
-    return LengthProfile(spec=spec, threshold=out["t"], sigmoid=out["s"])
+            row += (est.value, est.spread, est.size)
+    threshold, sigmoid = (Estimate(*row) for row in sums / spec.trials)
+    return LengthProfile(spec=spec, threshold=threshold, sigmoid=sigmoid)
 
 
-def parse_spec_file(path: str | Path, keys: Collection[str]) -> dict:
+def _matrix(key: str, rows: list[list[float]]) -> np.ndarray:
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"{key} rows must all have the same number of entries")
+    return np.array(rows)
+
+
+def _value(text: str):
+    """An int, else a float, else the text itself."""
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return kind(text)
+    return text
+
+
+def parse_spec_file(path: str | Path, keys: Collection[str], lists: Collection[str] = ()) -> dict:
     """Plain key-value spec file with optional whitespace-separated matrix blocks.
 
     Lines are `key value`; a line consisting of just a key among
     {transition, connectivity} starts a numeric block read until a
-    blank line or EOF.  `#` starts a comment.  A key outside keys is
-    refused; a key given twice keeps its last value.
+    blank line or EOF.  `#` starts a comment.  A value is an int, else a
+    float, else its text; a key in lists takes a comma-separated list of
+    them.  A key outside keys is refused; a key given twice keeps its last.
     """
     data: dict = {}
     matrix_key = None
@@ -246,7 +276,7 @@ def parse_spec_file(path: str | Path, keys: Collection[str]) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             if matrix_key and rows:
-                data[matrix_key] = np.array(rows)
+                data[matrix_key] = _matrix(matrix_key, rows)
                 matrix_key, rows = None, []
             continue
         if matrix_key is not None:
@@ -254,7 +284,7 @@ def parse_spec_file(path: str | Path, keys: Collection[str]) -> dict:
                 rows.append([float(v) for v in line.split()])
                 continue
             except ValueError:
-                data[matrix_key] = np.array(rows)
+                data[matrix_key] = _matrix(matrix_key, rows)
                 matrix_key, rows = None, []
         parts = line.split(None, 1)
         key = parts[0].lower()
@@ -265,14 +295,7 @@ def parse_spec_file(path: str | Path, keys: Collection[str]) -> dict:
             continue
         if len(parts) != 2:
             raise ValueError(f"malformed spec line: {raw!r}")
-        value = parts[1]
-        try:
-            data[key] = int(value)
-        except ValueError:
-            try:
-                data[key] = float(value)
-            except ValueError:
-                data[key] = value
+        data[key] = [_value(v) for v in parts[1].split(",")] if key in lists else _value(parts[1])
     if matrix_key and rows:
-        data[matrix_key] = np.array(rows)
+        data[matrix_key] = _matrix(matrix_key, rows)
     return data

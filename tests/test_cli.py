@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import re
 import warnings
 from unittest import mock
 
@@ -9,7 +11,15 @@ from click.testing import CliRunner
 from oracle import find_references
 from salza.cli import main
 from salza.lz import SELF, Context, Factorization, Mode, Symbol, decode
-from salza.tsv import read_matrix
+from salza.synth import (
+    DagSpec,
+    LengthProfileSpec,
+    MarkovSpec,
+    generate_dag_processes,
+    generate_markov,
+    length_profile,
+)
+from salza.tsv import fmt, read_matrix
 
 
 @pytest.fixture
@@ -320,6 +330,53 @@ class TestSimulate:
 DAG_SPEC = "length 100\nconnectivity\n0.0 0.0 1.0\n0.9 0.0 0.1\n"
 
 
+class TestSpecDefaults:
+    """A key that a spec file leaves out takes its spec class's default."""
+
+    def test_dag_without_optional_keys(self, runner, tmp_path):
+        spec = tmp_path / "dag.spec"
+        spec.write_text(DAG_SPEC.replace("length 100", "length 700"))
+        res = runner.invoke(main, ["gen", "dag", str(spec), "--out-dir", str(tmp_path / "gen")])
+        assert res.exit_code == 0, res.output
+        want = generate_dag_processes(DagSpec(np.array([[0.0, 0.0, 1.0], [0.9, 0.0, 0.1]]), length=700))
+        assert [(tmp_path / "gen" / label).read_bytes() for label in want.labels] == list(want.strings)
+
+    def test_simulate_without_trials_or_seed(self, runner, tmp_path):
+        spec = tmp_path / "sim.spec"
+        spec.write_text("mu 4\nl0 3\nlength 300,500\n")
+        res = runner.invoke(main, ["simulate", str(spec)])
+        assert res.exit_code == 0, res.output
+        rows = []
+        for n in (300, 500):
+            p = length_profile(LengthProfileSpec(4, 3, n))
+            rows.append("\t".join([fmt(4.0), str(n), fmt(3.0), fmt(p.threshold.spread), fmt(p.threshold.value),
+                                   fmt(p.sigmoid.spread), fmt(p.sigmoid.value), fmt(p.threshold.size)]))
+        assert res.output.splitlines()[1:] == rows
+
+    @pytest.mark.parametrize("seed_line, seed", [("seed 5\n", 5), ("", None)], ids=["seed-5", "no-seed"])
+    def test_markov_realizations_take_consecutive_seeds(self, runner, tmp_path, seed_line, seed):
+        spec = tmp_path / "chain.spec"
+        spec.write_text(f"alphabet 2\nlength 300\n{seed_line}realizations 3\ntransition\n0.9 0.1\n0.2 0.8\n")
+        res = runner.invoke(main, ["gen", "markov", str(spec), "--out-dir", str(tmp_path / "gen")])
+        assert res.exit_code == 0, res.output
+        first = MarkovSpec(2, np.array([[0.9, 0.1], [0.2, 0.8]]), 300, **({} if seed is None else {"seed": seed}))
+        for c in range(3):
+            want = generate_markov(dataclasses.replace(first, seed=first.seed + c))
+            assert (tmp_path / "gen" / f"alpha2_m0_c{c}").read_bytes() == want
+
+    @pytest.mark.parametrize("command, cls, fields", [
+        (["gen", "markov"], MarkovSpec, {"seed": "seed"}),
+        (["gen", "dag"], DagSpec, {"seed": "seed", "burnin": "burn_in", "scale": "copy_scale",
+                                   "alphabet": "alphabet_size"}),
+        (["simulate"], LengthProfileSpec, {"trials": "trials", "seed": "seed"}),
+    ], ids=["markov", "dag", "simulate"])
+    def test_help_states_the_spec_class_defaults(self, runner, command, cls, fields):
+        text = " ".join(runner.invoke(main, [*command, "--help"]).output.split())
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        for key, field in fields.items():
+            assert re.search(rf"\b{key} \([^)]*default {defaults[field]:g}\b", text), (key, text)
+
+
 def _markov_spec(line):
     """A good two-letter chain spec with line added last among its keys (the last value of a key wins)."""
     return f"alphabet 2\nlength 100\nseed 3\n{line}\ntransition\n0.5 0.5\n0.5 0.5\n"
@@ -343,7 +400,7 @@ def _markov_spec(line):
     (["gen", "dag"], "scale -5\n" + DAG_SPEC, "dag", "scale"),
     (["gen", "dag"], "alphabet 300\n" + DAG_SPEC, "dag", "alphabet"),
     (["gen", "dag"], "alphabet 1\n" + DAG_SPEC, "dag", "alphabet"),
-    (["gen", "dag"], "burnin -3\n" + DAG_SPEC, "dag", "burn-in"),
+    (["gen", "dag"], "burnin -3\n" + DAG_SPEC, "dag", "burnin"),
     (["simulate"], "mu nan\nl0 6\nlength 1024\n", "simulate", "mu"),
     (["simulate"], "mu inf\nl0 6\nlength 1024\n", "simulate", "mu"),
     (["simulate"], "mu 5,-1\nl0 6\nlength 1024\n", "simulate", "mu"),
@@ -362,6 +419,15 @@ def _markov_spec(line):
     (["gen", "markov"], _markov_spec("realisations 3"), "markov", "unknown key 'realisations'"),
     (["gen", "dag"], "transition 1\n" + DAG_SPEC, "dag", "unknown key 'transition'"),
     (["simulate"], "mu 5\nl0 6\nlength 1024\ntrial 2\n", "simulate", "unknown key 'trial'"),
+    (["gen", "dag"], "scale abc\n" + DAG_SPEC, "dag", "scale"),
+    (["gen", "dag"], "burnin 1e300\n" + DAG_SPEC, "dag", "burnin"),
+    (["simulate"], "mu 5\nl0 abc\nlength 1024\n", "simulate", "l0"),
+    (["gen", "markov"], "alphabet 2\nlength 100\ntransition\n0.5 0.5\n0.5\n", "markov", "transition"),
+    (["simulate"], "mu 5\nl0 6\nlength 1e300\n", "simulate", "length"),
+    (["simulate"], "mu 5\nl0 6\nlength 2147483648\n", "simulate", "length"),
+    (["simulate"], "mu 5\nlength 1024\n", "simulate", "l0"),
+    (["gen", "markov"], _markov_spec("id a/b"), "markov", "id"),
+    (["gen", "markov"], _markov_spec("id a\0b"), "markov", "id"),
 ], ids=["markov-realizations-negative", "markov-realizations-0", "markov-realizations-fraction",
         "markov-seed-negative", "markov-length-not-a-number", "markov-alphabet-fraction",
         "dag-length-not-a-number", "dag-seed-negative", "dag-burnin-fraction",
@@ -371,7 +437,10 @@ def _markov_spec(line):
         "simulate-mu-negative", "simulate-l0-nan", "simulate-l0-inf", "simulate-l0-negative", "markov-length-1e300", "markov-length-2**31",
         "dag-length-1e300", "dag-length-2**31", "simulate-length-not-a-number",
         "simulate-mu-not-a-number", "markov-transition-nan", "dag-connectivity-nan",
-        "markov-unknown-key", "dag-unknown-key", "simulate-unknown-key"])
+        "markov-unknown-key", "dag-unknown-key", "simulate-unknown-key", "dag-scale-not-a-number",
+        "dag-burnin-1e300", "simulate-l0-not-a-number", "markov-transition-ragged", "simulate-length-1e300",
+        "simulate-length-2**31", "simulate-l0-missing", "markov-id-path",
+        "markov-id-nul"])
 def test_bad_spec_value_is_one_line_error(runner, tmp_path, command, text, kind, key):
     spec = tmp_path / "bad.spec"
     spec.write_text(text)
@@ -430,6 +499,28 @@ def test_bad_file_is_one_line_error(runner, tmp_path, make_args):
     assert isinstance(res.exception, SystemExit), res.exception  # no traceback
     assert res.output.strip().splitlines()[-1].startswith("Error:")
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 32.0 GiB for an array with shape (4294967295,)"),
+     "Error: Unable to allocate 32.0 GiB for an array with shape (4294967295,)"),
+    (MemoryError(), "Error: out of memory"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("make_args", [
+    lambda f, d: ["nsd", *f, "--out", f"{d}/d.tsv"],
+    lambda f, d: ["causality", *f, "--out", f"{d}/g.dot"],
+    lambda f, d: ["factorize", *f],
+    lambda f, d: ["cluster", *write_corpus(d, {"m.tsv": b"\ta\tb\tc\na\t0\t1\t2\nb\t1\t0\t2\nc\t2\t2\t0\n"}),
+                  "--out", f"{d}/t.nwk"],
+    lambda f, d: ["simulate", *write_corpus(d, {"sim.spec": b"mu 5\nl0 6\nlength 64\n"})],
+], ids=["nsd", "causality", "factorize", "cluster", "simulate"])
+def test_out_of_memory_is_one_line_error(runner, tmp_path, make_args, exc, message):
+    files = write_corpus(tmp_path, {"x": SAMPLE["alpha"], "y": SAMPLE["beta"]})
+    with _computing_fails(exc):
+        res = runner.invoke(main, make_args(files, tmp_path))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert res.output.strip().splitlines() == [message]
 
 
 @pytest.mark.parametrize("command, outs", [

@@ -222,6 +222,55 @@ class TestLengthProfile:
             LengthProfileSpec(mu=5, l0=l0, target_length=100)
 
 
+UNIFORM_2 = np.full((2, 2), 0.5)
+SPECS = {
+    "markov": lambda **kw: MarkovSpec(**{"alphabet_size": 2, "transition": UNIFORM_2, "length": 100, **kw}),
+    "dag": lambda **kw: DagSpec(**{"connectivity": CHAIN_3, "length": 100, **kw}),
+    "profile": lambda **kw: LengthProfileSpec(**{"mu": 5, "l0": 4, "target_length": 100, **kw}),
+}
+
+
+class TestSpecFields:
+    """Each spec class checks its own fields when it is made, in messages that
+    start with the spec-file key."""
+
+    @pytest.mark.parametrize("kind, field, value, key", [
+        ("markov", "length", 10.5, "length"),
+        ("markov", "length", "100", "length"),
+        ("markov", "seed", -1, "seed"),
+        ("markov", "seed", 1.5, "seed"),
+        ("markov", "alphabet_size", 2.5, "alphabet"),
+        ("dag", "length", 100.5, "length"),
+        ("dag", "length", 2**31, "length"),
+        ("dag", "seed", -1, "seed"),
+        ("dag", "burn_in", 2.5, "burnin"),
+        ("dag", "copy_scale", "20", "scale"),
+        ("profile", "target_length", 100.5, "length"),
+        ("profile", "target_length", 0, "length"),
+        ("profile", "target_length", 2**31, "length"),
+        ("profile", "trials", 2.5, "trials"),
+        ("profile", "seed", -1, "seed"),
+        pytest.param("profile", "seed", np.float32(3), "seed", id="profile-seed-float32-seed"),
+        ("profile", "mu", "5", "mu"),
+        pytest.param("profile", "l0", 10**400, "l0", id="profile-l0-10**400-l0"),
+    ])
+    def test_bad_field_refused_when_made(self, kind, field, value, key):
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            SPECS[kind](**{field: value})
+
+    def test_integer_fields_become_ints(self):
+        spec = SPECS["markov"](alphabet_size=np.int16(2), length=100.0, seed=np.uint64(7))
+        assert (spec.alphabet_size, spec.length, spec.seed) == (2, 100, 7)
+        assert all(type(v) is int for v in (spec.alphabet_size, spec.length, spec.seed))
+        spec = SPECS["profile"](target_length=np.float64(64), trials=3.0)
+        assert type(spec.target_length) is int and type(spec.trials) is int
+
+    def test_float_fields_become_floats(self):
+        spec = SPECS["profile"](mu=np.int64(5), l0=0)
+        assert (spec.mu, spec.l0) == (5.0, 0.0) and type(spec.mu) is float and type(spec.l0) is float
+        assert type(SPECS["dag"](copy_scale=7).copy_scale) is float
+
+
 class TestSpecFile:
     def test_scalars_and_matrix(self, tmp_path):
         p = tmp_path / "chain.spec"
@@ -249,6 +298,18 @@ class TestSpecFile:
         data = parse_spec_file(p, ["connectivity", "length"])
         assert data["connectivity"].shape == (2, 2)
         assert data["length"] == 64
+
+    def test_list_values(self, tmp_path):
+        p = tmp_path / "sim.spec"
+        p.write_text("mu 5, 2.5,x\nlength 64\nseed 3\n")
+        data = parse_spec_file(p, ["mu", "length", "seed"], lists=("mu", "length"))
+        assert data == {"mu": [5, 2.5, "x"], "length": [64], "seed": 3}
+
+    def test_ragged_block_names_its_key(self, tmp_path):
+        p = tmp_path / "chain.spec"
+        p.write_text("transition\n0.5 0.5\n1.0\n")
+        with pytest.raises(ValueError, match="^transition rows must all have the same number of entries"):
+            parse_spec_file(p, ["transition"])
 
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "bad.spec"

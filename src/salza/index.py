@@ -241,28 +241,26 @@ def _suffix_array(strings: tuple[bytes, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Suffix array of the concatenated strings and its inverse, by prefix doubling.
 
     rank[i] is the first slot of suffix i's group: the suffixes that share
-    its first k codes (Manber & Myers).  A round sorts each group by the
-    rank of the suffix k further on, packed with the position into one
-    int64 key, and sorted in place.  Where the three fields do not fit in
-    KEY_BITS, the slots go in blocks of whole groups, each sorted on its
-    own; a block may see ranks that an earlier block of the round already
-    refined, which orders no two suffixes wrongly (Larsson & Sadakane).
-    The rank, one key per suffix and the group starts take 13 bytes per
-    suffix, besides the sort's own buffer.  The suffix array is returned in the first half of the keys'
-    memory, as int32, and the second half is left for the LCP array.
+    its first k codes (Manber & Myers).  Each slot's int64 key holds its
+    suffix in the low ib bits, which carry the order from round to round.
+    The first round sorts (code << ib) + i; a later one sorts each group by
+    the rank k further on, packed with the group's offset in its block above
+    the suffix.  Where the fields do not fit in KEY_BITS, the slots go in
+    blocks of whole groups, each sorted on its own; a block may see ranks
+    that an earlier block of the round already refined, which orders no two
+    suffixes wrongly (Larsson & Sadakane).  The rank, the keys and the group
+    starts take 13 bytes per suffix, besides the sort's own buffer.  The
+    suffix array, the keys' low bits, is returned in the first half of the
+    keys' memory, as int32, and the second half is left for the LCP array.
     """
-    codes = _codes(strings, np.int32)
-    n = len(codes)
-    counts = sum(np.bincount(codes[lo : lo + CHUNK], minlength=256 + len(strings))
-                 for lo in range(0, n, CHUNK))
-    first = (np.cumsum(counts) - counts).astype(np.int32)
-    rank = first[codes]
-    del codes
-    head = np.zeros(n + 1, bool)  # head[j]: a group starts at slot j
-    head[first[counts > 0]] = True
-    head[n] = True
-    key = np.empty(n, np.int64)
+    key = _codes(strings, np.int64)
+    n = len(key)
     rb, ib = n.bit_length(), (n - 1).bit_length()
+    for lo in range(0, n, CHUNK):
+        key[lo : lo + CHUNK] = (key[lo : lo + CHUNK] << ib) + np.arange(lo, min(lo + CHUNK, n))
+    rank, head = np.empty(n, np.int32), np.zeros(n + 1, bool)  # head[j]: a group starts at slot j
+    head[n] = True
+    _settle(rank, head, key, 0, ib)
     span = 1 << (KEY_BITS - rb - ib)  # slots per block
     k = 1
     while not head.all():
@@ -273,41 +271,34 @@ def _suffix_array(strings: tuple[bytes, ...]) -> tuple[np.ndarray, np.ndarray]:
                 back = int(np.argmax(head[a + 1 : b + 1][::-1]))
                 b = b - back if head[b - back] else a + 1 + int(np.argmax(head[a + 1 :]))
             if not head[a:b].all():
-                _sort_block(rank, head, key[: b - a], a, b, k, rb, ib)
+                _sort_block(rank, head, key[a:b], a, k, rb, ib)
             a = b
         k *= 2
-    return _invert(rank, key.view(np.int32)), rank
+    sa = key.view(np.int32)
+    for lo in range(0, n, CHUNK):  # each chunk lands on keys already read
+        sa[lo : min(lo + CHUNK, n)] = key[lo : lo + CHUNK] & ((1 << ib) - 1)
+    return sa, rank
 
 
-def _invert(perm: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[perm[i]] = i for every i, scattered CHUNK at a time; returns out."""
-    for lo in range(0, len(perm), CHUNK):
-        out[perm[lo : lo + CHUNK]] = np.arange(lo, min(lo + CHUNK, len(perm)), dtype=np.int32)
-    return out
-
-
-def _sort_block(rank, head, key, a: int, b: int, k: int, rb: int, ib: int) -> None:
-    """Split the groups in slots [a, b) by the rank k suffixes further on."""
-    n = len(rank)
-    fill = 0
-    for lo in range(0, n, CHUNK):
-        part = rank[lo : lo + CHUNK]
-        i = np.flatnonzero((part >= a) & (part < b)) + lo
-        nxt = np.where(i + k < n, i + k, 0)
+def _sort_block(rank, head, key, a: int, k: int, rb: int, ib: int) -> None:
+    """Split the groups of the block from slot a by the rank k suffixes further on, repacked into its keys."""
+    for lo in range(0, len(key), CHUNK):
+        part = key[lo : lo + CHUNK]
+        i = part & ((1 << ib) - 1)
         packed = (rank[i].astype(np.int64) - a) << rb
-        packed += np.where(i + k < n, rank[nxt].astype(np.int64) + 1, 0)
-        packed <<= ib
-        packed += i
-        key[fill : fill + len(i)] = packed
-        fill += len(i)
+        packed += np.where(i + k < len(rank), rank.take(i + k, mode="clip") + 1, 0)
+        part[:] = (packed << ib) + i
+    _settle(rank, head, key, a, ib)
+
+
+def _settle(rank, head, key, a: int, ib: int) -> None:
+    """Sort the keys of slots a.., then start a group wherever the bits above the suffix change."""
     key.sort()
     last, start = -1, a
     for lo in range(0, len(key), CHUNK):
         part = key[lo : lo + CHUNK]
         group = part >> ib
-        new = np.empty(len(part), bool)
-        new[0] = group[0] != last
-        np.not_equal(group[1:], group[:-1], out=new[1:])
+        new = np.concatenate(([group[0] != last], group[1:] != group[:-1]))
         head[a + lo : a + lo + len(part)] = new
         starts = np.where(new, np.arange(a + lo, a + lo + len(part)), start)
         np.maximum.accumulate(starts, out=starts)
@@ -532,21 +523,24 @@ class Index:
         """First region and leftmost start of the match of length with strings[t] at each of at.
 
         The regions, strings[ids[k]] in tie-break order, are whole or aligned
-        (starts below at).  at is ascending, and each match must exist.  The
-        suffixes that share at least length with the target's suffix form one
-        run of the suffix array around its rank, read from the inverse suffix
-        array (made here: 4 bytes per indexed byte).  The smallest key
-        (first region permitting it, position) of the run's suffixes gives both.
+        (starts below at).  at is strictly ascending, and each match must
+        exist.  The suffixes that share at least length with the target's
+        suffix form one run of the suffix array around its rank, found by
+        looking the positions up in the suffix array (2 bytes per indexed
+        byte, held here).  The smallest key (first region permitting it,
+        position) of the run's suffixes gives both.
         """
         if not len(at):
             return np.zeros(0, np.int64), np.zeros(0, np.int64)
         if self._sa is None:
             self._build()
         n = len(self._sa)
-        # int64: _run_starts doubles past n
-        rank = _invert(self._sa, np.empty(self._width, np.int32))[self._starts[t] + at].astype(np.int64)
-        order = np.argsort(rank)  # _run_starts and _block_min take the runs in order
-        rank, length = rank[order], length[order]
+        wanted = np.zeros(self._width, bool)
+        wanted[self._starts[t] + at] = True
+        rank = np.flatnonzero(wanted[self._sa])  # ascending and int64, as _run_starts takes them
+        del wanted
+        order = np.argsort(self._sa[rank]).argsort()  # each rank's place in at, which is ascending
+        length = length[order]
         first = _run_starts(self._lcp, rank, length)
         last = n - 1 - _run_starts(self._lcp[::-1], n - 1 - rank[::-1], length[::-1])[::-1]
         kw, ka = np.full((2, len(self.strings)), len(ids))  # each string's first whole, aligned region

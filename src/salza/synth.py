@@ -199,6 +199,8 @@ class LengthProfileSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", _real("mu", self.mu))
+        if self.mu > 9.223372006484771e18:  # the largest mean numpy's Poisson sampler takes
+            raise ValueError(f"mu must be at most 9.223372006484771e18, not {self.mu!r}")
         object.__setattr__(self, "l0", _real("l0", self.l0, zero_ok=True))
         _integers(self, target_length="length", trials="trials", seed="seed")
 
@@ -221,7 +223,7 @@ def _poisson_lengths(rng: np.random.Generator, mu: float, total: int) -> np.ndar
     acc = 0
     while acc < total:
         batch = rng.poisson(mu, size=max(16, int(2 * (total - acc) / mu) + 1))
-        draws = batch[batch > 0]
+        draws = np.minimum(batch[batch > 0], total)  # a draw past total is cut below anyway; keeps the sums in int64
         ends = acc + np.cumsum(draws)
         k = int(np.searchsorted(ends, total))  # the first draw that reaches total
         if k < len(draws):

@@ -26,7 +26,10 @@ def write_matrix(path: str | Path, labels: Sequence[str], values: Sequence[Seque
 
 
 def read_matrix(path: str | Path) -> tuple[list[str], list[list[float]]]:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    try:
+        lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     if len(lines) < 2:
         raise ValueError(f"{path}: not a matrix file")
     header = lines[0].split("\t")

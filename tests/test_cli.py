@@ -426,6 +426,7 @@ def _markov_spec(line):
     (["simulate"], "mu 5\nl0 6\nlength 1e300\n", "simulate", "length"),
     (["simulate"], "mu 5\nl0 6\nlength 2147483648\n", "simulate", "length"),
     (["simulate"], "mu 5\nlength 1024\n", "simulate", "l0"),
+    (["simulate"], "mu 1e300\nl0 6\nlength 1024\n", "simulate", "mu"),
     (["gen", "markov"], _markov_spec("id a/b"), "markov", "id"),
     (["gen", "markov"], _markov_spec("id a\0b"), "markov", "id"),
 ], ids=["markov-realizations-negative", "markov-realizations-0", "markov-realizations-fraction",
@@ -439,7 +440,7 @@ def _markov_spec(line):
         "simulate-mu-not-a-number", "markov-transition-nan", "dag-connectivity-nan",
         "markov-unknown-key", "dag-unknown-key", "simulate-unknown-key", "dag-scale-not-a-number",
         "dag-burnin-1e300", "simulate-l0-not-a-number", "markov-transition-ragged", "simulate-length-1e300",
-        "simulate-length-2**31", "simulate-l0-missing", "markov-id-path",
+        "simulate-length-2**31", "simulate-l0-missing", "simulate-mu-1e300", "markov-id-path",
         "markov-id-nul"])
 def test_bad_spec_value_is_one_line_error(runner, tmp_path, command, text, kind, key):
     spec = tmp_path / "bad.spec"
@@ -488,16 +489,19 @@ def _bad_table(tmp_path, text="3 0.2 9\n"):
                   "--out", f"{d}/missing/t.nwk"],
     lambda f, d: ["simulate", *write_corpus(d, {"sim.spec": b"mu 5\nl0 6\nlength 64\ntrials 2\n"}),
                   "--out", f"{d}/missing/s.tsv"],
+    lambda f, d: ["cluster", *write_corpus(d, {"m.tsv": b"\xff\ta\na\t0\n"}), "--out", f"{d}/t.nwk"],
 ], ids=["missing-table", "bad-table-line", "table-length-1e400", "table-length-2**31", "table-length-twice", "nsd-out",
         "causality-out", "factorize-out", "markov-spec", "dag-spec", "simulate-spec", "cluster-matrix",
-        "cluster-out", "simulate-out"])
-def test_bad_file_is_one_line_error(runner, tmp_path, make_args):
+        "cluster-out", "simulate-out", "cluster-not-utf8"])
+def test_bad_file_is_one_line_error(runner, tmp_path, make_args, request):
     files = write_corpus(tmp_path, {"x": SAMPLE["alpha"], "y": SAMPLE["beta"]})
     # an output path is checked before any cell is computed
     with _computing_fails(RuntimeError("computed before checking the output")):
         res = runner.invoke(main, make_args(files, tmp_path))
     assert isinstance(res.exception, SystemExit), res.exception  # no traceback
     assert res.output.strip().splitlines()[-1].startswith("Error:")
+    # the message names the file; a table's lengths are checked after it is read
+    assert str(tmp_path) in res.output or request.node.callspec.id.startswith("table-length")
     assert res.exit_code == 1
 
 

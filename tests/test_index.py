@@ -1,5 +1,6 @@
 """The match-array kernels against the naive oracle, and one index shared across cells."""
 
+import functools
 import tracemalloc
 import weakref
 from unittest import mock
@@ -188,8 +189,12 @@ def test_directed_matrix_shared_index_equals_terms(kind, mode):
                     assert got[i, j] == term(i) - base
 
 
-@pytest.mark.parametrize("spare_bits", [None, 0, 1, 3])
-def test_suffix_array_in_blocks_sorts_suffixes(spare_bits):
+SPARE_BITS = [None, 0, 1, 3]
+
+
+@pytest.mark.parametrize("spare_bits, chunk", [(b, index.CHUNK) for b in SPARE_BITS] + [(b, 3) for b in SPARE_BITS],
+                         ids=[str(b) for b in SPARE_BITS] + [f"{b}-chunk3" for b in SPARE_BITS])
+def test_suffix_array_in_blocks_sorts_suffixes(spare_bits, chunk):
     # with few spare key bits each doubling round sorts many small blocks
     rng = np.random.default_rng(8)
     for trial in range(60):
@@ -200,10 +205,27 @@ def test_suffix_array_in_blocks_sorts_suffixes(spare_bits):
         codes = index._codes(strings, np.int32).tolist()
         n = len(codes)
         bits = index.KEY_BITS if spare_bits is None else n.bit_length() + (n - 1).bit_length() + spare_bits
-        with mock.patch.object(index, "KEY_BITS", bits):
+        with mock.patch.object(index, "KEY_BITS", bits), mock.patch.object(index, "CHUNK", chunk):
             halves, rank = index._suffix_array(strings)
         assert halves[:n].tolist() == sorted(range(n), key=lambda i: codes[i:])
         assert rank.tolist() == np.argsort(halves[:n]).tolist()
+
+
+def test_suffix_array_longer_than_a_chunk_in_one_group_blocks():
+    # no spare key bits: every block is one group; the first round and the
+    # final write of the suffix array cross chunks
+    rng = np.random.default_rng(18)
+    word = rng.integers(0, 2, 300, dtype=np.uint8).tobytes()
+    noisy = b"".join(word[: int(rng.integers(1, 300))] for _ in range(60))
+    strings = (noisy[:5000], rng.integers(0, 2, 3000, dtype=np.uint8).tobytes(), noisy[:5000])
+    codes = index._codes(strings, ">u2").tobytes()  # two bytes per code: byte order is code order
+    n = len(codes) // 2
+    assert n > index.CHUNK
+    with mock.patch.object(index, "KEY_BITS", n.bit_length() + (n - 1).bit_length()):
+        halves, rank = index._suffix_array(strings)
+    want = sorted(range(n), key=functools.cmp_to_key(lambda i, j: -1 if codes[2 * i:] < codes[2 * j:] else 1))
+    assert halves[:n].tolist() == want
+    assert rank.tolist() == np.argsort(want).tolist()
 
 
 def _naive_lcp(strings):

@@ -265,6 +265,12 @@ class TestSpecFields:
         spec = SPECS["profile"](target_length=np.float64(64), trials=3.0)
         assert type(spec.target_length) is int and type(spec.trials) is int
 
+    def test_mu_up_to_the_poisson_limit(self):
+        spec = SPECS["profile"](mu=9.223372006484771e18, trials=2)
+        assert length_profile(spec).spec is spec
+        with pytest.raises(ValueError, match="^mu must be at most"):
+            SPECS["profile"](mu=np.nextafter(9.223372006484771e18, np.inf))
+
     def test_float_fields_become_floats(self):
         spec = SPECS["profile"](mu=np.int64(5), l0=0)
         assert (spec.mu, spec.l0) == (5.0, 0.0) and type(spec.mu) is float and type(spec.l0) is float

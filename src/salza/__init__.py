@@ -10,11 +10,9 @@ import importlib
 
 _HOMES = {
     "cluster": ("DistanceMatrix", "TreeNode", "neighbor_joining", "to_newick", "upgma"),
-    "directed": ("DirectedInfoMatrix", "StringSet", "causal_directed_info", "directed_info_matrix",
-                 "extract_dag", "full_directed_info", "to_dot"),
+    "directed": ("DirectedInfoMatrix", "StringSet", "directed_info", "directed_info_matrix", "extract_dag", "to_dot"),
     "estimators": ("AdmissibleFunction", "Estimate", "conditional_complexity", "joint_complexity",
-                   "meaningful_cutoff", "nsd", "nsd_matrix", "sigmoid_function",
-                   "simple_complexity", "table_function", "threshold_function"),
+                   "meaningful_cutoff", "nsd", "nsd_matrix", "simple_complexity"),
     "lz": ("Context", "Factorization", "Symbol", "decode", "factorize"),
     "params": ("Mode",),
     "synth": ("DagSpec", "LengthProfileSpec", "MarkovSpec", "generate_dag_processes",

@@ -47,41 +47,43 @@ def factorize(target: bytes, context):
     return _numeric("lz").factorize(target, context)
 
 
-def _load_function(func: str, l0: str):
-    est = _numeric("estimators")
-    if func.startswith("table:"):
-        path = func[6:]
-        table = {}
-        for i, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                length, value = line.split()
-                length, value = int(length), float(value)
-            except ValueError:
-                raise ValueError(f"{path}: line {i}: expected '<length> <value>', not {raw!r}") from None
-            if length in table:
-                raise ValueError(f"{path}: line {i}: length {length} given twice")
-            table[length] = value
-        return est.table_function(table)
-    if func not in ("sigmoid", "threshold"):
-        raise ValueError(f"unknown admissible function: {func}")
-    try:
-        return est.AdmissibleFunction(func, None if l0 == "auto" else float(l0))
-    except ValueError:
-        raise ValueError(f"--l0 must be 'auto' or a finite number >= 0, not {l0!r}") from None
+def _load_function(func: str, l0: float | None):
+    """The admissible function that --func and --l0 give; a table's refusals name its file."""
+    make = _numeric("estimators").AdmissibleFunction
+    if not func.startswith("table:"):
+        return make(func, l0)
+    text = _tsv.read_text(func[6:])
+    with _prefixed(func[6:]):
+        return make("table", l0, _table(text))
+
+
+def _table(text: str) -> dict[int, float]:
+    """The `<length> <value>` lines of a table file, with `#` comments."""
+    table = {}
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            length, value = line.split()
+            length, value = int(length), float(value)
+        except ValueError:
+            raise ValueError(f"line {i}: expected '<length> <value>', not {raw!r}") from None
+        if length in table:
+            raise ValueError(f"line {i}: length {length} given twice")
+        table[length] = value
+    return table
 
 
 @contextlib.contextmanager
-def _spec_errors(kind: str):
-    """A missing key or a bad value in a spec file names the spec kind."""
+def _prefixed(prefix: str):
+    """A ValueError, or a missing spec key (KeyError), raised inside starts with prefix."""
     try:
         yield
     except KeyError as exc:
-        raise ValueError(f"bad {kind} spec: {exc.args[0]} is missing") from exc
+        raise ValueError(f"{prefix}: {exc.args[0]} is missing") from exc
     except ValueError as exc:
-        raise ValueError(f"bad {kind} spec: {exc}") from exc
+        raise ValueError(f"{prefix}: {exc}") from exc
 
 
 def _given(cfg: dict, **keys: str) -> dict:
@@ -111,7 +113,8 @@ def _read_corpus(files: tuple[str, ...]) -> tuple[list[str], list[bytes]]:
         blob = Path(path).read_bytes()
         if not blob:
             raise click.ClickException(f"empty file: {path}")
-        label = os.path.basename(path)
+        # a byte of the name that is not UTF-8 reads \xNN, so that every writer can write the label
+        label = os.path.basename(path).encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
         if label in labels:
             k = 1
             while f"{label}.{k}" in labels:
@@ -140,7 +143,10 @@ def _number(kind, rule: str, ok):
 
 func_option = click.option("--func", default="sigmoid", show_default=True,
                            help="Admissible function: sigmoid|threshold|table:<path>.")
-l0_option = click.option("--l0", default="auto", show_default=True,
+l0_option = click.option("--l0", type=str, default="auto", show_default=True, metavar="FLOAT",
+                         callback=_number(lambda v: None if v == "auto" else float(v),
+                                          "'auto' or a finite number >= 0",
+                                          lambda x: x is None or 0.0 <= x < math.inf),
                          help="Cutoff length, or 'auto' for the per-context meaningful length.")
 threads_option = click.option("--threads", type=str, default=None, metavar="INTEGER",
                               callback=_number(int, "an integer >= 1", lambda n: n >= 1),
@@ -252,7 +258,7 @@ def markov(specfile, out_dir):
     matrix block.
     """
     synth = _numeric("synth")
-    with _spec_errors("markov"):
+    with _prefixed("bad markov spec"):
         cfg = synth.parse_spec_file(specfile, "alphabet length seed realizations id transition".split())
         first = synth.MarkovSpec(cfg["alphabet"], cfg["transition"], cfg["length"], **_given(cfg, seed="seed"))
         count = synth.integer("realizations", cfg.get("realizations", 1), 1)
@@ -279,7 +285,7 @@ def dag(specfile, out_dir):
     innovation probability.
     """
     synth = _numeric("synth")
-    with _spec_errors("dag"):
+    with _prefixed("bad dag spec"):
         cfg = synth.parse_spec_file(specfile, "length seed burnin scale alphabet connectivity".split())
         spec = synth.DagSpec(cfg["connectivity"], cfg["length"], **_given(
             cfg, seed="seed", burn_in="burnin", copy_scale="scale", alphabet_size="alphabet"))
@@ -319,7 +325,7 @@ def simulate(specfile, out):
     length accept comma-separated sweeps.
     """
     synth = _numeric("synth")
-    with _spec_errors("simulate"):
+    with _prefixed("bad simulate spec"):
         cfg = synth.parse_spec_file(specfile, "mu l0 length trials seed".split(), lists=("mu", "length"))
         given = _given(cfg, trials="trials", seed="seed")
         specs = [synth.LengthProfileSpec(mu, cfg["l0"], n, **given) for mu in cfg["mu"] for n in cfg["length"]]

@@ -70,23 +70,19 @@ def _term(X: StringSet, j: int, exclude: set[int], kind: str, f: AdmissibleFunct
     return conditional_complexity(X.strings[j], ctx, f).value
 
 
-def _directed_info(X: StringSet, i: int, j: int, kind: str, f: AdmissibleFunction | None) -> float:
-    if i == j:
-        raise ValueError("directed information is undefined for i == j")
+def _check(X: StringSet, kind: str) -> None:
+    if kind not in _KIND_MODES:
+        raise ValueError(f"unknown kind: {kind}")
     if len(X) < 2:
         raise ValueError("need at least two strings")
+
+
+def directed_info(X: StringSet, i: int, j: int, kind: str = "causal", f: AdmissibleFunction | None = None) -> float:
+    """Influence of string i on string j: one cell of directed_info_matrix(X, kind, f)."""
+    if i == j:
+        raise ValueError("directed information is undefined for i == j")
+    _check(X, kind)
     return _term(X, j, {i}, kind, f) - _term(X, j, set(), kind, f)
-
-
-def causal_directed_info(X: StringSet, i: int, j: int, f: AdmissibleFunction | None = None) -> float:
-    """Influence of string i on string j using aligned pasts (online data)."""
-    return _directed_info(X, i, j, "causal", f)
-
-
-def full_directed_info(X: StringSet, i: int, j: int, f: AdmissibleFunction | None = None) -> float:
-    """Influence of string i on string j with full access to the conditioning
-    strings (offline data)."""
-    return _directed_info(X, i, j, "full", f)
 
 
 def directed_info_matrix(
@@ -105,11 +101,8 @@ def directed_info_matrix(
     nearest pass per position bit for all strings together; the full
     triple from one row and one own past per distinct string.
     """
-    if kind not in _KIND_MODES:
-        raise ValueError(f"unknown kind: {kind}")
+    _check(X, kind)
     n = len(X)
-    if n < 2:
-        raise ValueError("need at least two strings")
     index = Index(X.strings)
 
     def column(j: int) -> list[float]:

@@ -36,22 +36,29 @@ class AdmissibleFunction:
 
     `kind` is "sigmoid", 1 / (1 + exp(l0 - l)); "threshold", 1 if l > l0
     else 0; or "table", a step function over `table`, sorted (length, value)
-    pairs: f(l) is the value at the largest tabulated length <= l, and the
-    first value below the smallest.  `l0=None` stands for the meaningful
-    cutoff of whichever context the function is used in.
+    pairs (a mapping is sorted into them): f(l) is the value at the largest
+    tabulated length <= l, and the first value below the smallest.  `l0=None`
+    stands for the meaningful cutoff of whichever context the function is
+    used in.  A field the kind does not read (l0 or table) is refused.
     """
 
     kind: str = "sigmoid"
     l0: float | None = None
-    table: tuple[tuple[int, float], ...] = ()
+    table: tuple[tuple[int, float], ...] | Mapping[int, float] = ()
 
     def __post_init__(self):
         if self.kind not in ("sigmoid", "threshold", "table"):
             raise ValueError(f"unknown admissible function kind: {self.kind}")
+        if isinstance(self.table, Mapping):
+            object.__setattr__(self, "table", tuple(sorted(self.table.items())))
         if self.l0 is not None and not 0.0 <= self.l0 < math.inf:
             raise ValueError(f"cutoff l0 must be a finite number >= 0, not {self.l0!r}")
         if self.kind == "table" and not self.table:
-            raise ValueError("empty table")
+            raise ValueError("a table function needs a non-empty table")
+        if self.kind != "table" and self.table:
+            raise ValueError(f"a {self.kind} function takes no table")
+        if self.kind == "table" and self.l0 is not None:
+            raise ValueError(f"a table function takes no cutoff l0, not {self.l0!r}")
         keys, vals = zip(*self.table) if self.table else ((), ())
         if not all(0.0 <= v <= 1.0 for v in vals):
             raise ValueError("table values must lie in [0, 1]")
@@ -84,21 +91,6 @@ class AdmissibleFunction:
 
     def __call__(self, length: int) -> float:
         return float(self.weights([length])[0])
-
-
-def threshold_function(l0: float | None = None) -> AdmissibleFunction:
-    """f(l) = 1 if l > l0, else 0 (strict inequality)."""
-    return AdmissibleFunction("threshold", l0)
-
-
-def sigmoid_function(l0: float | None = None) -> AdmissibleFunction:
-    """f(l) = 1 / (1 + exp(-l + l0)), centered at the cutoff l0."""
-    return AdmissibleFunction("sigmoid", l0)
-
-
-def table_function(table: Mapping[int, float]) -> AdmissibleFunction:
-    """Step function from an explicit, monotone length -> [0, 1] table."""
-    return AdmissibleFunction("table", table=tuple(sorted(table.items())))
 
 
 def meaningful_cutoff(target: bytes, context: Context) -> float:

@@ -36,7 +36,7 @@ KEY_BITS = 63
 #: Pairs still matching, at most this many, that the LCP build finishes one by one.
 GALLOP = 32
 
-#: Longest string whose positions the index's int32 arrays can address.
+#: Most positions, string bytes and separators, that the index's int32 arrays address.
 MAX_LENGTH = _INF = np.iinfo(np.int32).max
 
 
@@ -409,6 +409,9 @@ class Index:
         self.strings = tuple(self._ids)
         self._starts = np.cumsum([0] + [len(s) + 1 for s in self.strings[:-1]])
         self._width = self._starts[-1] + len(self.strings[-1])  # positions in the index
+        if self._width > MAX_LENGTH:
+            raise ValueError(f"the strings total {self._width} bytes with their separators; "
+                             f"an index addresses at most {MAX_LENGTH}")
         self._sa = None
         self._best: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # by whole
         self._row_of = self._row = self._letters = None

@@ -18,8 +18,9 @@ from typing import Collection
 import numpy as np
 
 from .directed import StringSet, _has_cycle
-from .estimators import Estimate, estimate_from_lengths, sigmoid_function, threshold_function
+from .estimators import AdmissibleFunction, Estimate, estimate_from_lengths
 from .index import MAX_LENGTH
+from .tsv import read_text
 
 
 #: Draws taken at a time by generate_markov: 32 bytes each as Python floats.
@@ -237,7 +238,7 @@ def _poisson_lengths(rng: np.random.Generator, mu: float, total: int) -> np.ndar
 def length_profile(spec: LengthProfileSpec) -> LengthProfile:
     """Average the two-factor estimate over seeded Poisson length draws."""
     rng = _rng(spec.seed)
-    fns = (threshold_function(spec.l0), sigmoid_function(spec.l0))
+    fns = (AdmissibleFunction("threshold", spec.l0), AdmissibleFunction("sigmoid", spec.l0))
     sums = np.zeros((2, 3))  # value, spread, size: threshold, then sigmoid
     for _ in range(spec.trials):
         lengths = _poisson_lengths(rng, spec.mu, spec.target_length)
@@ -274,7 +275,7 @@ def parse_spec_file(path: str | Path, keys: Collection[str], lists: Collection[s
     data: dict = {}
     matrix_key = None
     rows: list[list[float]] = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             if matrix_key and rows:

@@ -25,11 +25,16 @@ def write_matrix(path: str | Path, labels: Sequence[str], values: Sequence[Seque
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_matrix(path: str | Path) -> tuple[list[str], list[list[float]]]:
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file at path; a file that is not UTF-8 is a ValueError that names path."""
     try:
-        lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def read_matrix(path: str | Path) -> tuple[list[str], list[list[float]]]:
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ValueError(f"{path}: not a matrix file")
     header = lines[0].split("\t")

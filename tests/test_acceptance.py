@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from salza import (
+    AdmissibleFunction,
     Context,
     DagSpec,
     DistanceMatrix,
@@ -30,9 +31,6 @@ from salza import (
     nsd,
     nsd_matrix,
     simple_complexity,
-    table_function,
-    threshold_function,
-    sigmoid_function,
     upgma,
 )
 from oracle import naive_factorize
@@ -72,11 +70,11 @@ def random_function(rng):
     pick = int(rng.integers(4))
     l0 = float(rng.uniform(1.0, 9.0))
     if pick == 0:
-        return threshold_function(l0)
+        return AdmissibleFunction("threshold", l0)
     if pick == 1:
-        return sigmoid_function(l0)
+        return AdmissibleFunction("sigmoid", l0)
     if pick == 2:
-        return table_function({3: 0.25, int(2 + l0): 0.7, int(4 + l0): 1.0})
+        return AdmissibleFunction("table", table={3: 0.25, int(2 + l0): 0.7, int(4 + l0): 1.0})
     return None  # per-context default
 
 
@@ -125,7 +123,7 @@ def test_criterion_2_semi_distance_axioms():
     x = A * n + B + bytes(reversed(C))
     y = B + C * n + bytes(reversed(A))
     z = A + C + B * n
-    f = threshold_function()
+    f = AdmissibleFunction("threshold")
     d_xy, d_xz, d_zy = nsd(x, y, f), nsd(x, z, f), nsd(z, y, f)
     assert d_xy == pytest.approx((n + 1) ** 2 / (n + 2) ** 2, abs=1e-9)
     assert d_xz == pytest.approx((n + M) ** 2 / ((n + 2) ** 2 * M**2), abs=1e-9)

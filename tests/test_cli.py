@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import os
 import re
 import warnings
 from unittest import mock
@@ -106,18 +107,60 @@ class TestNsd:
         last = res.output.strip().splitlines()[-1]
         assert last.startswith("Error:") and option in last
 
+    @pytest.mark.parametrize("func", ["sigmoid", "threshold", "table"])
+    @pytest.mark.parametrize("value", ["foo", "-1", "nan"])
+    def test_bad_l0_refused_before_any_file_is_read(self, runner, tmp_path, func, value):
+        if func == "table":
+            func = f"table:{tmp_path}/missing.tbl"
+        res = runner.invoke(main, ["nsd", f"{tmp_path}/x", f"{tmp_path}/y", "--func", func, "--l0", value,
+                                   "--out", str(tmp_path / "d.tsv")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+        assert res.output.strip().splitlines() == [
+            f"Error: --l0 must be 'auto' or a finite number >= 0, not {value!r}"]
+
+    @pytest.mark.parametrize("command", ["nsd", "causality"])
+    def test_l0_with_a_table_refused(self, runner, tmp_path, command):
+        files = write_corpus(tmp_path, SAMPLE)
+        table = tmp_path / "steps.txt"
+        table.write_text("3 0.2\n8 1.0\n")
+        out = tmp_path / "out"
+        res = runner.invoke(main, [command, *files, "--func", f"table:{table}", "--l0", "3", "--out", str(out)])
+        assert res.exit_code == 1
+        assert res.output.strip().splitlines() == [f"Error: {table}: a table function takes no cutoff l0, not 3.0"]
+        assert not out.exists()
+
     def test_duplicate_basenames_get_suffix(self, runner, tmp_path):
-        d1, d2 = tmp_path / "one", tmp_path / "two"
-        d1.mkdir(), d2.mkdir()
+        d1, d2, d3 = tmp_path / "one", tmp_path / "two", tmp_path / "three"
+        d1.mkdir(), d2.mkdir(), d3.mkdir()
         (d1 / "text").write_bytes(SAMPLE["alpha"])
         (d2 / "text").write_bytes(SAMPLE["beta"])
+        (d3 / "text").write_bytes(SAMPLE["gamma"])
         out = tmp_path / "d.tsv"
-        res = runner.invoke(main, ["nsd", str(d1 / "text"), str(d2 / "text"),
+        res = runner.invoke(main, ["nsd", str(d1 / "text"), str(d2 / "text"), str(d3 / "text"),
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
-        assert "duplicate label" in res.output
+        assert res.stderr.splitlines() == ["warning: duplicate label 'text', using text.1",
+                                           "warning: duplicate label 'text', using text.2"]
         labels, _ = read_matrix(out)
-        assert labels == ["text", "text.1"]
+        assert labels == ["text", "text.1", "text.2"]
+
+    @pytest.mark.parametrize("command", ["nsd", "causality"])
+    def test_name_that_is_not_utf8_is_escaped_in_its_label(self, runner, tmp_path, command):
+        name = os.fsdecode(b"a\xff")
+        try:
+            (tmp_path / name).write_bytes(SAMPLE["alpha"])
+        except (OSError, UnicodeError):
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        (tmp_path / "b").write_bytes(SAMPLE["beta"])
+        out, matrix = tmp_path / "out", tmp_path / "m.tsv"
+        args = [command, str(tmp_path / name), str(tmp_path / "b"), "--out", str(out)]
+        res = runner.invoke(main, args + (["--matrix-out", str(matrix)] if command == "causality" else []))
+        assert res.exit_code == 0, res.output
+        labels, _ = read_matrix(out if command == "nsd" else matrix)
+        assert labels == ["a\\xff", "b"]
+        if command == "causality":
+            assert '"a\\\\xff";' in out.read_text()  # the DOT escape of the backslash
 
 
 class TestCluster:
@@ -167,6 +210,22 @@ class TestCluster:
         assert res.exit_code == 1
         assert "row 2, column 4: non-finite number" in res.output
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("text, where", [
+        ("\ta\tb\n", "not a matrix file"),
+        ("x\ta\tb\na\t0\t1\nb\t1\t0\n", "row 1: expected empty leading header cell"),
+        ("\ta\tb\na\t0\t1\n", "expected 2 data rows, found 1"),
+        ("\ta\tb\na\t0\nb\t1\t0\n", "row 2: expected 3 columns, found 2"),
+        ("\ta\tb\na\t0\t1\nc\t1\t0\n", "row 3: label 'c' does not match header"),
+        ("\ta\tb\na\t0\tx\nb\t1\t0\n", "row 2, column 3: bad number 'x'"),
+    ], ids=["not-a-matrix", "header-cell", "row-count", "column-count", "label-mismatch", "bad-number"])
+    def test_bad_matrix_file_names_its_path_and_place(self, runner, tmp_path, text, where):
+        p = tmp_path / "m.tsv"
+        p.write_text(text)
+        res = runner.invoke(main, ["cluster", str(p), "--out", str(tmp_path / "t.nwk")])
+        assert res.exit_code == 1
+        assert res.output.strip().splitlines() == [f"Error: {p}: {where}"]
 
 
 class TestCausality:
@@ -490,19 +549,33 @@ def _bad_table(tmp_path, text="3 0.2 9\n"):
     lambda f, d: ["simulate", *write_corpus(d, {"sim.spec": b"mu 5\nl0 6\nlength 64\ntrials 2\n"}),
                   "--out", f"{d}/missing/s.tsv"],
     lambda f, d: ["cluster", *write_corpus(d, {"m.tsv": b"\xff\ta\na\t0\n"}), "--out", f"{d}/t.nwk"],
+    lambda f, d: ["nsd", *f, "--func", "table:" + write_corpus(d, {"t.tbl": b"3 0.2\n\xff 1.0\n"})[0],
+                  "--out", f"{d}/d.tsv"],
+    lambda f, d: ["simulate", *write_corpus(d, {"sim.spec": b"mu 5\nl0 6\xff\nlength 64\n"})],
 ], ids=["missing-table", "bad-table-line", "table-length-1e400", "table-length-2**31", "table-length-twice", "nsd-out",
         "causality-out", "factorize-out", "markov-spec", "dag-spec", "simulate-spec", "cluster-matrix",
-        "cluster-out", "simulate-out", "cluster-not-utf8"])
-def test_bad_file_is_one_line_error(runner, tmp_path, make_args, request):
+        "cluster-out", "simulate-out", "cluster-not-utf8", "table-not-utf8", "simulate-spec-not-utf8"])
+def test_bad_file_is_one_line_error(runner, tmp_path, make_args):
     files = write_corpus(tmp_path, {"x": SAMPLE["alpha"], "y": SAMPLE["beta"]})
     # an output path is checked before any cell is computed
     with _computing_fails(RuntimeError("computed before checking the output")):
         res = runner.invoke(main, make_args(files, tmp_path))
     assert isinstance(res.exception, SystemExit), res.exception  # no traceback
     assert res.output.strip().splitlines()[-1].startswith("Error:")
-    # the message names the file; a table's lengths are checked after it is read
-    assert str(tmp_path) in res.output or request.node.callspec.id.startswith("table-length")
+    assert str(tmp_path) in res.output  # the message names the file
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("command", ["nsd", "causality", "factorize"])
+def test_input_past_the_index_limit_is_one_line_error(runner, tmp_path, command):
+    files = write_corpus(tmp_path, {"x": SAMPLE["alpha"], "y": SAMPLE["beta"]})
+    width = len(SAMPLE["alpha"]) + 1 + len(SAMPLE["beta"])  # with the separator between them
+    with mock.patch("salza.index.MAX_LENGTH", width - 1):
+        res = runner.invoke(main, [command, *files, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+    assert res.output.strip().splitlines() == [
+        f"Error: the strings total {width} bytes with their separators; an index addresses at most {width - 1}"]
 
 
 @pytest.mark.parametrize("exc, message", [

@@ -48,6 +48,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="diagonal"):
             dm(["a", "b"], [[1, 2], [2, 0]])
 
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match="^labels must be unique$"):
+            dm(["a", "b", "a"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
     def test_too_small(self):
         with pytest.raises(ValueError):
             dm(["a"], [[0]])

@@ -8,12 +8,12 @@ from salza.directed import (
     DirectedInfoMatrix,
     StringSet,
     _has_cycle,
-    causal_directed_info,
+    directed_info,
     directed_info_matrix,
     extract_dag,
-    full_directed_info,
     to_dot,
 )
+from salza.estimators import AdmissibleFunction
 
 
 def _random_set(rng, n, length=3000):
@@ -48,8 +48,18 @@ class TestValidation:
 
     def test_self_influence_rejected(self):
         X = StringSet(("a", "b"), (b"abcabc", b"defdef"))
-        with pytest.raises(ValueError, match="i == j"):
-            causal_directed_info(X, 1, 1)
+        with pytest.raises(ValueError, match="^directed information is undefined for i == j$"):
+            directed_info(X, 1, 1, "causal")
+
+    def test_pair_unknown_kind_rejected(self):
+        X = StringSet(("a", "b"), (b"abcabc", b"defdef"))
+        with pytest.raises(ValueError, match="^unknown kind: granger$"):
+            directed_info(X, 0, 1, "granger")
+
+    def test_pair_of_a_single_string_rejected(self):
+        X = StringSet(("a",), (b"abcabc",))
+        with pytest.raises(ValueError, match="^need at least two strings$"):
+            directed_info(X, 0, -1)
 
     def test_single_string_rejected(self):
         X = StringSet(("a",), (b"abcabc",))
@@ -62,7 +72,7 @@ class TestCausal:
         hits = 0
         for seed in range(8):
             X = _random_set(np.random.default_rng(seed), 2)
-            v = causal_directed_info(X, 0, 1)
+            v = directed_info(X, 0, 1, "causal")
             if abs(v) < DEFAULT_THRESHOLD:
                 hits += 1
         assert hits >= 7
@@ -71,8 +81,8 @@ class TestCausal:
         detected = 0
         for seed in range(5):
             X = _coupled_pair(np.random.default_rng(100 + seed))
-            fwd = causal_directed_info(X, 0, 1)
-            bwd = causal_directed_info(X, 1, 0)
+            fwd = directed_info(X, 0, 1, "causal")
+            bwd = directed_info(X, 1, 0, "causal")
             if fwd > DEFAULT_THRESHOLD and bwd < DEFAULT_THRESHOLD:
                 detected += 1
         assert detected >= 4
@@ -83,21 +93,21 @@ class TestCausal:
             for i in range(3):
                 for j in range(3):
                     if i != j:
-                        assert -1.0 < causal_directed_info(X, i, j) < 1.0
+                        assert -1.0 < directed_info(X, i, j, "causal") < 1.0
 
 
 class TestFull:
     def test_unrelated_near_zero(self):
         X = _random_set(np.random.default_rng(9), 3)
-        assert abs(full_directed_info(X, 0, 2)) < 2 * DEFAULT_THRESHOLD
+        assert abs(directed_info(X, 0, 2, "full")) < 2 * DEFAULT_THRESHOLD
 
     def test_equals_causal_for_aligned_past_copies(self):
         # content copied only from earlier aligned positions: full access
         # to the sources adds nothing over their pasts
         for seed in range(3):
             X = _coupled_pair(np.random.default_rng(300 + seed))
-            c = causal_directed_info(X, 0, 1)
-            f = full_directed_info(X, 0, 1)
+            c = directed_info(X, 0, 1, "causal")
+            f = directed_info(X, 0, 1, "full")
             assert f == pytest.approx(c, abs=5e-3)
 
 
@@ -116,6 +126,15 @@ class TestMatrix:
     def test_full_kind_is_recorded(self):
         X = _random_set(np.random.default_rng(3), 4, length=600)
         assert directed_info_matrix(X, kind="full").kind == "full"
+
+    @pytest.mark.parametrize("kind", ["causal", "full"])
+    @pytest.mark.parametrize("f", [None, AdmissibleFunction("threshold", 2.0)], ids=["default", "threshold-2"])
+    def test_each_cell_is_the_pair_value(self, kind, f):
+        X = _coupled_pair(np.random.default_rng(7), length=800)
+        X = StringSet.from_pairs([*zip(X.labels, X.strings), ("c", X.strings[0][::-1])])
+        m = directed_info_matrix(X, kind, f)
+        for i, j in itertools.permutations(range(3), 2):
+            assert m.values[i, j] == directed_info(X, i, j, kind, f)
 
     def test_unknown_kind(self):
         X = _random_set(np.random.default_rng(4), 2, length=100)

@@ -12,10 +12,7 @@ from salza.estimators import (
     joint_complexity,
     meaningful_cutoff,
     nsd,
-    sigmoid_function,
     simple_complexity,
-    table_function,
-    threshold_function,
 )
 from salza.lz import Context, Mode
 
@@ -67,35 +64,35 @@ class TestMeaningfulCutoff:
 
 class TestAdmissibleFunctions:
     def test_threshold_is_strict(self):
-        f = threshold_function(1.5)
+        f = AdmissibleFunction("threshold", 1.5)
         assert (f(1), f(2)) == (0.0, 1.0)
-        g = threshold_function(3)
+        g = AdmissibleFunction("threshold", 3)
         assert (g(3), g(4)) == (0.0, 1.0)
 
     def test_threshold_zero_cutoff(self):
-        f = threshold_function(0)
+        f = AdmissibleFunction("threshold", 0)
         assert all(f(l) == 1.0 for l in range(1, 50))
 
     def test_sigmoid_center_and_values(self):
-        f = sigmoid_function(4)
+        f = AdmissibleFunction("sigmoid", 4)
         assert f(4) == pytest.approx(0.5)
-        g = sigmoid_function(2)
+        g = AdmissibleFunction("sigmoid", 2)
         assert g(4) == pytest.approx(1 / (1 + math.exp(-2)))
         assert g(4) == pytest.approx(0.8808, abs=1e-4)
 
     def test_sigmoid_limits(self):
-        f = sigmoid_function(3)
+        f = AdmissibleFunction("sigmoid", 3)
         assert f(500) == pytest.approx(1.0)
         assert f(1) < f(2) < f(3) < f(4)
 
     def test_sigmoid_huge_cutoff_no_overflow(self):
-        f = sigmoid_function(1e6)
+        f = AdmissibleFunction("sigmoid", 1e6)
         assert f(1) == 0.0
 
     @pytest.mark.parametrize("make", [
-        lambda: threshold_function(2.5),
-        lambda: sigmoid_function(7.0),
-        lambda: table_function({1: 0.0, 3: 0.2, 8: 0.9, 20: 1.0}),
+        lambda: AdmissibleFunction("threshold", 2.5),
+        lambda: AdmissibleFunction("sigmoid", 7.0),
+        lambda: AdmissibleFunction("table", table={1: 0.0, 3: 0.2, 8: 0.9, 20: 1.0}),
     ])
     def test_monotone_in_unit_interval(self, make):
         f = make()
@@ -106,19 +103,36 @@ class TestAdmissibleFunctions:
             assert v >= prev
             prev = v
 
-    @pytest.mark.parametrize("make", [threshold_function, sigmoid_function])
+    @pytest.mark.parametrize("kind", ["threshold", "sigmoid"], ids=lambda kind: f"{kind}_function")
     @pytest.mark.parametrize("l0", [math.nan, math.inf, -1.0])
-    def test_bad_cutoff_rejected(self, make, l0):
+    def test_bad_cutoff_rejected(self, kind, l0):
         with pytest.raises(ValueError, match="finite number >= 0"):
-            make(l0)
+            AdmissibleFunction(kind, l0)
+
+    @pytest.mark.parametrize("kind, l0, table, message", [
+        ("table", 3.0, ((3, 0.2),), "a table function takes no cutoff l0, not 3.0"),
+        ("sigmoid", 2.0, ((3, 0.2),), "a sigmoid function takes no table"),
+        ("threshold", None, {3: 0.2}, "a threshold function takes no table"),
+        ("table", None, {}, "a table function needs a non-empty table"),
+        ("step", None, (), "unknown admissible function kind: step"),
+    ])
+    def test_fields_checked_against_the_kind(self, kind, l0, table, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AdmissibleFunction(kind, l0, table)
+
+    def test_table_mapping_kept_as_sorted_pairs(self):
+        f = AdmissibleFunction("table", table={8: 1.0, 3: 0.2})
+        assert f.table == ((3, 0.2), (8, 1.0))
+        assert f == AdmissibleFunction("table", table=((3, 0.2), (8, 1.0)))
+        assert hash(f) == hash(AdmissibleFunction("table", table=((3, 0.2), (8, 1.0))))
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
-            table_function({1: 0.5, 2: 0.4})
+            AdmissibleFunction("table", table={1: 0.5, 2: 0.4})
         with pytest.raises(ValueError):
-            table_function({1: 1.5})
+            AdmissibleFunction("table", table={1: 1.5})
         with pytest.raises(ValueError):
-            table_function({})
+            AdmissibleFunction("table", table={})
 
 
 class TestConditionalComplexity:
@@ -132,7 +146,7 @@ class TestConditionalComplexity:
         n = 40
         target = bytes([1, 2, 3, 4] * 10)
         source = bytes([9, 8, 7] * 10)
-        for f in (threshold_function(1.5), sigmoid_function(3.0), None):
+        for f in (AdmissibleFunction("threshold", 1.5), AdmissibleFunction("sigmoid", 3.0), None):
             est = conditional_complexity(target, Context((source,), Mode.SOURCE_ALL), f)
             assert est.spread == pytest.approx(1 - 1 / n)
             assert est.size == pytest.approx((n - 1) / n)
@@ -140,7 +154,7 @@ class TestConditionalComplexity:
 
     def test_own_past_hand_value(self):
         est = conditional_complexity(
-            b"abcabcabd", Context((), Mode.PAST_OF_BOTH), threshold_function(1.5))
+            b"abcabcabd", Context((), Mode.PAST_OF_BOTH), AdmissibleFunction("threshold", 1.5))
         assert est.spread == pytest.approx(4 / 9)
         assert est.size == pytest.approx(4 / 9)
         assert est.value == pytest.approx(16 / 81)
@@ -160,22 +174,22 @@ class TestConditionalComplexity:
         x = b"abcabcabdabd"
         y = b"dbacbcabadba"
         c = Context((y,), Mode.SOURCE_ALL)
-        explicit = sigmoid_function(meaningful_cutoff(x, c))
+        explicit = AdmissibleFunction("sigmoid", meaningful_cutoff(x, c))
         assert conditional_complexity(x, c).value == conditional_complexity(x, c, explicit).value
-        thr = conditional_complexity(x, c, threshold_function())
-        expl_thr = threshold_function(meaningful_cutoff(x, c))
+        thr = conditional_complexity(x, c, AdmissibleFunction("threshold"))
+        expl_thr = AdmissibleFunction("threshold", meaningful_cutoff(x, c))
         assert thr.value == conditional_complexity(x, c, expl_thr).value
 
 
 class TestSimpleComplexity:
     def test_no_repeats_all_literal(self):
         x = bytes(range(30))
-        est = simple_complexity(x, threshold_function(1.5))
+        est = simple_complexity(x, AdmissibleFunction("threshold", 1.5))
         assert est.value == pytest.approx((29 / 30) ** 2)
 
     def test_constant_string_hand_value(self):
         # lengths {1, 5}: S = 1 - (5 - (1 - 1))/6 = 1/6, Z = 1/6
-        est = simple_complexity(b"aaaaaa", threshold_function(1.5))
+        est = simple_complexity(b"aaaaaa", AdmissibleFunction("threshold", 1.5))
         assert est.spread == pytest.approx(1 / 6)
         assert est.size == pytest.approx(1 / 6)
         assert est.value == pytest.approx(1 / 36)
@@ -197,7 +211,7 @@ class TestJointComplexity:
         y = b"ddccbbaaddcc"
         from salza.estimators import conditional_complexity as cc
 
-        f = sigmoid_function(2.0)
+        f = AdmissibleFunction("sigmoid", 2.0)
         direct = cc(y, Context((x,), Mode.PAST_AND_SOURCES), f).value + simple_complexity(x, f).value
         assert joint_complexity(x, y, f) == pytest.approx(direct)
 
@@ -248,7 +262,7 @@ class TestNsd:
         x = A * n + B + bytes(reversed(C))
         y = B + C * n + bytes(reversed(A))
         z = A + C + B * n
-        f = threshold_function()
+        f = AdmissibleFunction("threshold")
         d_xy = nsd(x, y, f)
         d_xz = nsd(x, z, f)
         d_zy = nsd(z, y, f)
@@ -277,8 +291,8 @@ def test_sigmoid_and_threshold_agree_far_from_cutoff():
 
     lengths = [50, 60, 70, 80] * 10
     n = sum(lengths)
-    a = estimate_from_lengths(lengths, n, threshold_function(3.0))
-    b = estimate_from_lengths(lengths, n, sigmoid_function(3.0))
+    a = estimate_from_lengths(lengths, n, AdmissibleFunction("threshold", 3.0))
+    b = estimate_from_lengths(lengths, n, AdmissibleFunction("sigmoid", 3.0))
     assert a.value == pytest.approx(b.value, rel=1e-9)
 
 
@@ -301,11 +315,11 @@ _TABLE = {1: 0.0, 3: 0.2, 8: 0.9, 20: 1.0}
 def _loop_weight(kind, l0):
     """The scalar weighting the loop called per length, and the function under test."""
     if kind == "threshold":
-        return threshold_function(l0), lambda l: 1.0 if l > l0 else 0.0
+        return AdmissibleFunction("threshold", l0), lambda l: 1.0 if l > l0 else 0.0
     if kind == "sigmoid":
-        return sigmoid_function(l0), lambda l: 0.0 if l0 - l > 700.0 else 1.0 / (1.0 + math.exp(l0 - l))
+        return AdmissibleFunction("sigmoid", l0), lambda l: 0.0 if l0 - l > 700.0 else 1.0 / (1.0 + math.exp(l0 - l))
     keys = sorted(_TABLE)
-    return table_function(_TABLE), lambda l: _TABLE[keys[max(bisect.bisect_right(keys, l) - 1, 0)]]
+    return AdmissibleFunction("table", table=_TABLE), lambda l: _TABLE[keys[max(bisect.bisect_right(keys, l) - 1, 0)]]
 
 
 # l0=None draws a cutoff per case; 1e6 is the exp-overflow regime

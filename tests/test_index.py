@@ -658,3 +658,13 @@ def test_merge_over_a_slice_equals_merge_over_positions():
         index._merge(by_positions, np.arange(lo, hi), a1[lo:hi], ra, a2[lo:hi])
         for got, want in zip(by_slice, by_positions):
             assert got.tolist() == want.tolist()
+
+
+def test_index_refuses_more_positions_than_int32_addresses(monkeypatch):
+    strings = [b"x" * 60, b"y" * 40]  # 101 positions with the separator
+    monkeypatch.setattr(index, "MAX_LENGTH", 101)
+    assert index.Index(strings).strings == tuple(strings)
+    monkeypatch.setattr(index, "MAX_LENGTH", 100)
+    with pytest.raises(ValueError, match="^the strings total 101 bytes with their separators; "
+                                         "an index addresses at most 100$"):
+        index.Index(strings)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import naive_factorize
-from salza.lz import SELF, Context, Mode, decode, factorize
+from salza.lz import SELF, Context, Factorization, Mode, Symbol, decode, factorize
 
 ALL_MODES = list(Mode)
 
@@ -112,6 +112,21 @@ class TestDecode:
         corrupt = f.__class__(symbols=(bad,), target_length=f.target_length, mode=f.mode)
         with pytest.raises(ValueError, match="corrupt"):
             decode(corrupt, c)
+
+    @pytest.mark.parametrize("mode, symbols, length", [
+        (Mode.SOURCE_ALL, [Symbol(2, literal=97)], 2),
+        (Mode.SOURCE_ALL, [Symbol(1, literal=97), Symbol(1, source=SELF, offset=0)], 2),
+        (Mode.PAST_OF_BOTH, [Symbol(1, literal=97), Symbol(1, source=SELF, offset=1)], 2),
+        (Mode.SOURCE_ALL, [Symbol(3, source=1, offset=0)], 3),
+        (Mode.SOURCE_ALL, [Symbol(3, source=0, offset=4)], 3),
+        (Mode.SOURCE_PAST, [Symbol(1, literal=97), Symbol(3, source=0, offset=1)], 4),
+        (Mode.SOURCE_ALL, [Symbol(3, source=0, offset=0)], 4),
+    ], ids=["long-literal", "self-without-own-past", "self-offset-ahead", "no-such-source",
+            "past-the-source-end", "past-the-aligned-past", "short-target"])
+    def test_each_corrupt_symbol_rejected(self, mode, symbols, length):
+        c = ctx([b"abcabc"], mode)
+        with pytest.raises(ValueError, match="^corrupt factorization$"):
+            decode(Factorization(tuple(symbols), length, mode), c)
 
 
 class TestReferenceLengths:

@@ -305,6 +305,13 @@ class TestSpecFile:
         assert data["connectivity"].shape == (2, 2)
         assert data["length"] == 64
 
+    def test_matrix_block_ends_at_a_key_line(self, tmp_path):
+        p = tmp_path / "chain.spec"
+        p.write_text("transition\n0.9 0.1\n0.2 0.8\nlength 64\n")
+        data = parse_spec_file(p, ["transition", "length"])
+        assert data["transition"].tolist() == [[0.9, 0.1], [0.2, 0.8]]
+        assert data["length"] == 64
+
     def test_list_values(self, tmp_path):
         p = tmp_path / "sim.spec"
         p.write_text("mu 5, 2.5,x\nlength 64\nseed 3\n")

@@ -113,8 +113,10 @@ def _read_corpus(files: tuple[str, ...]) -> tuple[list[str], list[bytes]]:
         blob = Path(path).read_bytes()
         if not blob:
             raise click.ClickException(f"empty file: {path}")
-        # a byte of the name that is not UTF-8 reads \xNN, so that every writer can write the label
-        label = os.path.basename(path).encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+        # a byte of the name that is not UTF-8 reads \xNN, so that every writer can write the label, and
+        # a character that is not printable (a tab, a line break) its escape, so that no reader splits it
+        name = os.path.basename(path).encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+        label = "".join(c if c.isprintable() else c.encode("unicode_escape").decode() for c in name)
         if label in labels:
             k = 1
             while f"{label}.{k}" in labels:
@@ -261,7 +263,7 @@ def markov(specfile, out_dir):
     with _prefixed("bad markov spec"):
         cfg = synth.parse_spec_file(specfile, "alphabet length seed realizations id transition".split())
         first = synth.MarkovSpec(cfg["alphabet"], cfg["transition"], cfg["length"], **_given(cfg, seed="seed"))
-        count = synth.integer("realizations", cfg.get("realizations", 1), 1)
+        count = synth.integer("realizations", cfg.get("realizations", 1), *synth._RANGES["realizations"])
         tag = cfg.get("id", 0)
         if Path(f"m{tag}").name != f"m{tag}" or "\0" in str(tag):
             raise ValueError(f"id must be usable in a file name, not {tag!r}")

@@ -398,8 +398,8 @@ class Index:
     one nearest pass per bit for all strings; it takes over the index's
     arrays, which the next match array or leftmost builds again.  The whole
     triple (own past, other strings whole) merges one row and one own past
-    per string.  best_matches takes them only on an index shared across
-    factorizations, where they serve many terms.
+    per string.  best_matches takes the one its mode names, only on an
+    index shared across factorizations, where it serves many terms.
     """
 
     def __init__(self, strings):
@@ -522,11 +522,11 @@ class Index:
             row[self._starts[r] : self._starts[r] + len(s)] = self._aligned(r, r)
             _merge(best, slice(None), row, r, 0)
 
-    def leftmost(self, t: int, at: np.ndarray, length: np.ndarray, ids: list[int], whole: list[bool]):
+    def leftmost(self, t: int, at: np.ndarray, length: np.ndarray, regions: list[tuple[int, bool]]):
         """First region and leftmost start of the match of length with strings[t] at each of at.
 
-        The regions, strings[ids[k]] in tie-break order, are whole or aligned
-        (starts below at).  at is strictly ascending, and each match must
+        The regions, (string id, whole) in tie-break order, are whole or
+        aligned (starts below at).  at is strictly ascending, and each match must
         exist.  The suffixes that share at least length with the target's
         suffix form one run of the suffix array around its rank, found by
         looking the positions up in the suffix array (2 bytes per indexed
@@ -546,9 +546,9 @@ class Index:
         length = length[order]
         first = _run_starts(self._lcp, rank, length)
         last = n - 1 - _run_starts(self._lcp[::-1], n - 1 - rank[::-1], length[::-1])[::-1]
-        kw, ka = np.full((2, len(self.strings)), len(ids))  # each string's first whole, aligned region
-        for k in reversed(range(len(ids))):
-            (kw if whole[k] else ka)[ids[k]] = k
+        kw, ka = np.full((2, len(self.strings)), len(regions))  # each string's first whole, aligned region
+        for k, (i, whole) in reversed(list(enumerate(regions))):
+            (kw if whole else ka)[i] = k
         key = np.empty(len(at), np.int64)
         key[order] = self._run_minima(first, last, at[order], kw, np.minimum(kw, ka))
         return key >> 32, key & 0xFFFFFFFF
@@ -600,16 +600,17 @@ class Index:
         return pos, lcp, None if own else ~in_t[keep]
 
 
-def _dense(target: bytes, regions: list[bytes], whole: list[bool]) -> np.ndarray:
+def _dense(target: bytes, regions: list[tuple[bytes, bool]]) -> np.ndarray:
     """Longest permitted match at each target position, from the target-by-regions equality matrix.
 
-    Runs of equal bytes along its diagonals are match lengths.  A
-    separator column after each region stops runs at the region's end.
+    regions are (string, whole) pairs.  Runs of equal bytes along its
+    diagonals are match lengths.  A separator column after each region
+    stops runs at the region's end.
     """
     m = len(target)
-    sizes = [len(s) + 1 for s in regions]
+    sizes = [len(s) + 1 for s, _ in regions]
     width = sum(sizes)
-    row = np.frombuffer(b"\0".join(regions) + b"\0", np.uint8).astype(np.int16)
+    row = np.frombuffer(b"\0".join(s for s, _ in regions) + b"\0", np.uint8).astype(np.int16)
     row[np.cumsum(sizes) - 1] = -1
     # One row and one column on is a stride of width + 1: as the columns
     # of this view the diagonals run down, and each run ends at a 0.
@@ -622,43 +623,43 @@ def _dense(target: bytes, regions: list[bytes], whole: list[bool]) -> np.ndarray
     runs = np.minimum.accumulate(runs[::-1], axis=0)[::-1] - depth
     runs = runs.ravel()[: m * width].reshape(m, width)
     # an aligned region admits starts p < q only
-    start = np.concatenate([np.full(k, -1) if w else np.arange(k) for k, w in zip(sizes, whole)])
+    start = np.concatenate([np.full(k, -1) if w else np.arange(k) for k, (_, w) in zip(sizes, regions)])
     runs *= start < np.arange(m)[:, None]
     return runs.max(axis=1)
 
 
-def best_matches(target: bytes, regions: list[bytes], whole: list[bool], index: Index | None = None):
+def best_matches(target: bytes, sources: tuple[bytes, ...], own: bool, whole: bool, index: Index | None = None):
     """Longest permitted match at every target position, and a function where.
 
-    where(at, length) is Index.leftmost: at the positions at (ascending), the
-    first region with the longest match and the leftmost start of that match;
-    length is best[at], passed back so that where need not keep best.
-    regions are in tie-break order; index, if given, must hold the target
-    and every region.  A shared index serves all its strings but at most
-    one from a triple (Index.best): all aligned pasts, or the own past and
-    every other string whole; other requests take per-pair arrays.  An
-    index made here lives as long as where, without its row; a dense-size
-    input's is made and built only if where is called.
+    The regions, in tie-break order, are the target's own past if own, then
+    the sources, whole if whole, else aligned.  where(at, length) is
+    Index.leftmost: at the positions at (ascending), the first region with
+    the longest match and the leftmost start of that match; length is
+    best[at], passed back so that where need not keep best.  index, if
+    given, must hold the target and every source.  A shared index serves a
+    request that leaves out at most one of its strings from the triple of
+    its kind (Index.best): aligned sources, or the own past and then whole
+    sources that do not hold the target.  Other requests take per-pair
+    arrays.  An index made here lives as long as where, without its row;
+    a dense-size input's is made and built only if where is called.
     """
-    def where(at, length):
-        own = index or Index([target] + regions)
-        return own.leftmost(own.id(target), at, length, [own.id(s) for s in regions], whole)
+    regions = [(target, False)] * own + [(s, whole) for s in sources]
 
-    if (len(target) + 1) * sum(len(s) + 1 for s in regions) <= DENSE_CELLS:
+    def where(at, length):
+        idx = index or Index([target, *sources])
+        return idx.leftmost(idx.id(target), at, length, [(idx.id(s), w) for s, w in regions])
+
+    if (len(target) + 1) * sum(len(s) + 1 for s, _ in regions) <= DENSE_CELLS:
         index = None  # where makes an index of its own when called
-        return _dense(target, regions, whole), where
+        return _dense(target, regions), where
     private = index is None
-    index = index or Index([target] + regions)
-    t = index.id(target)
-    ids = [index.id(s) for s in regions]
-    left_out = set(range(len(index.strings))).difference(ids)
-    shared = not private and len(left_out) <= 1
-    if shared and not any(whole):
-        best = index.best(t, *left_out)
-    elif shared and ids[:1] == [t] and whole[:1] == [False] and all(whole[1:]) and t not in ids[1:]:
-        best = index.best(t, *left_out, whole=True)
+    index = index or Index([target, *sources])
+    t, ids = index.id(target), [index.id(s) for s in sources]
+    left_out = set(range(len(index.strings))).difference(ids, [t] * own)
+    if not private and len(left_out) <= 1 and (not whole or own and t not in ids):
+        best = index.best(t, *left_out, whole=whole)
     else:
-        best = reduce(np.maximum, [index.matches(t, r, w) for r, w in zip(ids, whole)])
+        best = reduce(np.maximum, [index.matches(t, index.id(s), w) for s, w in regions])
         if private:  # the offsets need only the suffix array
             index._row_of = index._row = None
     return best, where

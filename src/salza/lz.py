@@ -186,9 +186,7 @@ def factorize(target: bytes, context: Context) -> Factorization:
     if n == 0:
         raise ValueError("empty input")
     own = context.uses_own_past
-    regions = [target] * own + list(context.sources)
-    whole = [False] * own + [context.uses_whole_sources] * len(context.sources)
-    best, where = best_matches(target, regions, whole, context.index)
+    best, where = best_matches(target, context.sources, own, context.uses_whole_sources, context.index)
     lengths = walk(best)
 
     def make() -> tuple[Symbol, ...]:

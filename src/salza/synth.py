@@ -33,7 +33,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 #: The range of each integer spec key, by its spec-file name.
 _RANGES = {"alphabet": (2, 256), "length": (1, MAX_LENGTH), "burnin": (0, MAX_LENGTH),
-           "seed": (0, math.inf), "trials": (1, math.inf)}
+           "seed": (0, math.inf), "trials": (1, 10**6), "realizations": (1, 10**4)}
 
 
 def integer(key: str, value, least: int, most: float = math.inf) -> int:

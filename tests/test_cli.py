@@ -145,22 +145,39 @@ class TestNsd:
         labels, _ = read_matrix(out)
         assert labels == ["text", "text.1", "text.2"]
 
-    @pytest.mark.parametrize("command", ["nsd", "causality"])
-    def test_name_that_is_not_utf8_is_escaped_in_its_label(self, runner, tmp_path, command):
-        name = os.fsdecode(b"a\xff")
+    @pytest.mark.parametrize("command, name, label", [
+        ("nsd", b"a\xff", "a\\xff"), ("causality", b"a\xff", "a\\xff"),
+        ("nsd", b"a\tb", "a\\tb"), ("causality", b"a\tb", "a\\tb"), ("factorize", b"a\tb", "a\\tb"),
+        ("nsd", b"d\ne", "d\\ne"), ("causality", b"d\ne", "d\\ne"), ("factorize", b"d\ne", "d\\ne"),
+    ], ids=["nsd", "causality", "nsd-tab", "causality-tab", "factorize-tab", "nsd-newline", "causality-newline",
+            "factorize-newline"])
+    def test_name_that_is_not_utf8_is_escaped_in_its_label(self, runner, tmp_path, command, name, label):
+        name = os.fsdecode(name)
         try:
             (tmp_path / name).write_bytes(SAMPLE["alpha"])
         except (OSError, UnicodeError):
-            pytest.skip("the file system refuses a name that is not UTF-8")
-        (tmp_path / "b").write_bytes(SAMPLE["beta"])
+            pytest.skip("the file system refuses the name")
+        printable = "b é 'x'"  # its label is its name
+        (tmp_path / printable).write_bytes(SAMPLE["alpha"][:500])
+        files = [str(tmp_path / name), str(tmp_path / printable)]
         out, matrix = tmp_path / "out", tmp_path / "m.tsv"
-        args = [command, str(tmp_path / name), str(tmp_path / "b"), "--out", str(out)]
-        res = runner.invoke(main, args + (["--matrix-out", str(matrix)] if command == "causality" else []))
+        if command == "factorize":  # the source, named in the dump's source column
+            res = runner.invoke(main, [command, files[1], files[0], "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            rows = [line.split("\t") for line in out.read_text().splitlines()]
+            assert {len(row) for row in rows} == {5} and {row[3] for row in rows[1:]} == {label}
+            return
+        res = runner.invoke(main, [command, *files, "--out", str(out)]
+                            + (["--matrix-out", str(matrix)] if command == "causality" else []))
         assert res.exit_code == 0, res.output
         labels, _ = read_matrix(out if command == "nsd" else matrix)
-        assert labels == ["a\\xff", "b"]
-        if command == "causality":
-            assert '"a\\\\xff";' in out.read_text()  # the DOT escape of the backslash
+        assert labels == [label, printable]
+        if command == "nsd":
+            res = runner.invoke(main, ["cluster", str(out), "--out", str(tmp_path / "t.nwk")])
+            assert res.exit_code == 0, res.output
+        else:
+            escaped = label.replace("\\", "\\\\")  # the DOT escape of the backslash
+            assert f'"{escaped}";' in out.read_text()
 
 
 class TestCluster:
@@ -488,6 +505,8 @@ def _markov_spec(line):
     (["simulate"], "mu 1e300\nl0 6\nlength 1024\n", "simulate", "mu"),
     (["gen", "markov"], _markov_spec("id a/b"), "markov", "id"),
     (["gen", "markov"], _markov_spec("id a\0b"), "markov", "id"),
+    (["simulate"], "mu 5\nl0 6\nlength 1024\ntrials 1e12\n", "simulate", "trials"),
+    (["gen", "markov"], _markov_spec("realizations 1e12"), "markov", "realizations"),
 ], ids=["markov-realizations-negative", "markov-realizations-0", "markov-realizations-fraction",
         "markov-seed-negative", "markov-length-not-a-number", "markov-alphabet-fraction",
         "dag-length-not-a-number", "dag-seed-negative", "dag-burnin-fraction",
@@ -500,7 +519,7 @@ def _markov_spec(line):
         "markov-unknown-key", "dag-unknown-key", "simulate-unknown-key", "dag-scale-not-a-number",
         "dag-burnin-1e300", "simulate-l0-not-a-number", "markov-transition-ragged", "simulate-length-1e300",
         "simulate-length-2**31", "simulate-l0-missing", "simulate-mu-1e300", "markov-id-path",
-        "markov-id-nul"])
+        "markov-id-nul", "simulate-trials-1e12", "markov-realizations-1e12"])
 def test_bad_spec_value_is_one_line_error(runner, tmp_path, command, text, kind, key):
     spec = tmp_path / "bad.spec"
     spec.write_text(text)

@@ -391,17 +391,16 @@ def test_causal_matrix_on_unequal_lengths_equals_terms():
                 assert got[i, j] == (term(i) - base if i != j else 0.0)
 
 
-@pytest.mark.parametrize("kind, sweeps, pair_runs", [("causal", 1, 0), ("full", 0, 4)])
-def test_causal_matrix_takes_one_sweep(kind, sweeps, pair_runs):
-    X = StringSet(("a", "b", "c", "d"), tuple(_unequal_dag_strings()))
-    with mock.patch.object(index, "DENSE_CELLS", 0), \
-            mock.patch.object(index.Index, "_sweep", autospec=True,
-                              side_effect=index.Index._sweep) as sweep, \
-            mock.patch.object(index.Index, "_aligned", autospec=True,
-                              side_effect=index.Index._aligned) as pair:
+@pytest.mark.parametrize("m, kind, sweeps, pair_runs", [(4, "causal", 1, 0), (4, "full", 0, 4), (2, "causal", 1, 0)],
+                         ids=["causal-1-0", "full-0-4", "causal-two-strings"])
+def test_causal_matrix_takes_one_sweep(m, kind, sweeps, pair_runs):
+    X = StringSet(("a", "b", "c", "d")[:m], tuple(_unequal_dag_strings())[:m])
+    with mock.patch.object(index, "DENSE_CELLS", 0), _counting() as sweep, _counting("_aligned") as pair, \
+            _counting("_merge_rows") as merge:
         directed_info_matrix(X, kind=kind)
     assert sweep.call_count == sweeps
     assert pair.call_count == pair_runs  # the full kind: each target's own past, once
+    assert merge.call_count == (kind == "full")
 
 
 def _counting(method="_sweep"):
@@ -637,12 +636,14 @@ def test_full_matrix_equals_terms_without_an_index(chunk):
 
 
 def test_full_matrix_makes_one_row_per_string():
-    X = StringSet(("a", "b", "c", "d"), tuple(_unequal_dag_strings()))
-    with mock.patch.object(index, "DENSE_CELLS", 0), _counting("_whole_row") as row, \
-            _counting("_aligned") as aligned, _counting() as sweep, _counting("matches") as matches:
-        directed_info_matrix(X, kind="full")
-    assert row.call_count == aligned.call_count == 4
-    assert sweep.call_count == matches.call_count == 0
+    """Two strings too: the terms that leave the other string out read the whole triple, not a sweep."""
+    for m in (4, 2):
+        X = StringSet(("a", "b", "c", "d")[:m], tuple(_unequal_dag_strings())[:m])
+        with mock.patch.object(index, "DENSE_CELLS", 0), _counting("_whole_row") as row, \
+                _counting("_aligned") as aligned, _counting() as sweep, _counting("matches") as matches:
+            directed_info_matrix(X, kind="full")
+        assert row.call_count == aligned.call_count == m
+        assert sweep.call_count == matches.call_count == 0
 
 
 def test_merge_over_a_slice_equals_merge_over_positions():

@@ -10,7 +10,7 @@ from salza.synth import (
     length_profile,
     parse_spec_file,
 )
-from salza.synth import _poisson_lengths
+from salza.synth import _RANGES, _poisson_lengths, integer
 
 
 class TestMarkov:
@@ -264,6 +264,15 @@ class TestSpecFields:
         assert all(type(v) is int for v in (spec.alphabet_size, spec.length, spec.seed))
         spec = SPECS["profile"](target_length=np.float64(64), trials=3.0)
         assert type(spec.target_length) is int and type(spec.trials) is int
+
+    def test_counts_up_to_their_bounds(self):
+        """trials and realizations are bounded, far above their defaults, so a typo cannot run for ever."""
+        assert SPECS["profile"](trials=10**6).trials == 10**6
+        with pytest.raises(ValueError, match=r"^trials must be an integer in \[1, 1000000\], not 1000001$"):
+            SPECS["profile"](trials=10**6 + 1)
+        assert integer("realizations", 1e4, *_RANGES["realizations"]) == 10**4
+        with pytest.raises(ValueError, match=r"^realizations must be an integer in \[1, 10000\], not 10001$"):
+            integer("realizations", 10**4 + 1, *_RANGES["realizations"])
 
     def test_mu_up_to_the_poisson_limit(self):
         spec = SPECS["profile"](mu=9.223372006484771e18, trials=2)

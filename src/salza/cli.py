@@ -52,6 +52,8 @@ def _load_function(func: str, l0: float | None):
     make = _numeric("estimators").AdmissibleFunction
     if not func.startswith("table:"):
         return make(func, l0)
+    if not func[6:]:
+        raise ValueError("--func table: needs a file path after the colon")
     text = _tsv.read_text(func[6:])
     with _prefixed(func[6:]):
         return make("table", l0, _table(text))
@@ -209,7 +211,8 @@ def cluster(matrix, method, out, show_ascii):
     """Build a tree from a TSV distance matrix."""
     _check_writable(out)
     labels, values = _tsv.read_matrix(matrix)
-    dm = _cluster.DistanceMatrix(tuple(labels), values)
+    with _prefixed(matrix):
+        dm = _cluster.DistanceMatrix(tuple(labels), values)
     tree = _cluster.neighbor_joining(dm) if method == "nj" else _cluster.upgma(dm)
     Path(out).write_text(_cluster.to_newick(tree) + "\n")
     if show_ascii:

@@ -8,6 +8,7 @@ lengths from NJ may be negative and are preserved as-is.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 
@@ -34,7 +35,9 @@ class DistanceMatrix:
     """Labels and their symmetric, finite, nonnegative distances with a zero diagonal.
 
     values may be given as nested sequences or an array of numbers; it is
-    kept as a tuple of rows of floats.
+    kept as a tuple of rows of floats.  No distance may exceed the largest
+    float over 4n, so that no row sum, Q value or weighted sum of the tree
+    builders overflows.
     """
 
     labels: tuple[str, ...]
@@ -62,6 +65,9 @@ class DistanceMatrix:
             raise ValueError("diagonal must be zero")
         if any(x < 0 for row in d for x in row):
             raise ValueError("distances must be nonnegative")
+        limit = sys.float_info.max / (4 * n)
+        if any(x > limit for row in d for x in row):
+            raise ValueError(f"distances must be at most {limit:.9g} for {n} items")
         if len(set(self.labels)) != n:
             raise ValueError("labels must be unique")
 

@@ -101,9 +101,9 @@ def meaningful_cutoff(target: bytes, context: Context) -> float:
     With a unary reference alphabet every string is trivially repeatable, so
     the cutoff degenerates to the full region length.
     """
+    if not target:
+        raise ValueError("empty input")
     region = context.region_length(len(target))
-    if region == 0:
-        raise ValueError("empty reference region")
     a = len(context.alphabet(target))
     if a < 2:
         return float(region)

@@ -12,7 +12,7 @@ parse (walk) steps over the best of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -96,39 +96,28 @@ class Symbol(NamedTuple):
 
 
 class Factorization:
-    """The symbols of one parse, the target's length and the mode.
+    """The symbols of one parse, their lengths, the target's length and the mode.
 
-    factorize fills in the symbol lengths and makes the symbols themselves,
-    with their offsets, on first access: the estimators read only the
-    lengths.  Until then it holds what the offsets are read from.
+    The estimators read only the lengths.  symbols may be a function that
+    makes them, passed with the lengths, as factorize does: it runs on the
+    first read of symbols, and until then the parse holds only what the
+    offsets are read from.
     """
 
-    __slots__ = ("target_length", "mode", "_symbols", "_lengths", "_make")
+    __slots__ = ("_symbols", "target_length", "mode", "lengths")
 
-    def __init__(self, symbols: tuple[Symbol, ...], target_length: int, mode: Mode):
-        self._symbols = tuple(symbols)
-        self._lengths = None
-        self._make = None
+    def __init__(self, symbols: tuple[Symbol, ...] | Callable[[], tuple[Symbol, ...]], target_length: int,
+                 mode: Mode, lengths: list[int] | None = None):
+        self._symbols = symbols if callable(symbols) else tuple(symbols)
         self.target_length = target_length
         self.mode = mode
-
-    @classmethod
-    def _deferred(cls, lengths: list[int], make, target_length: int, mode: Mode) -> Factorization:
-        f = cls((), target_length, mode)
-        f._symbols, f._lengths, f._make = None, lengths, make
-        return f
+        self.lengths = [sym.length for sym in self.symbols] if lengths is None else lengths
 
     @property
     def symbols(self) -> tuple[Symbol, ...]:
-        if self._symbols is None:
-            self._symbols = self._make()
+        if callable(self._symbols):
+            self._symbols = self._symbols()
         return self._symbols
-
-    @property
-    def lengths(self) -> list[int]:
-        if self._lengths is None:
-            return [sym.length for sym in self.symbols]
-        return self._lengths
 
     def __eq__(self, other):
         if not isinstance(other, Factorization):
@@ -206,7 +195,7 @@ def factorize(target: bytes, context: Context) -> Factorization:
             t += length
         return tuple(out)
 
-    return Factorization._deferred(lengths, make, n, context.mode)
+    return Factorization(make, n, context.mode, lengths)
 
 
 def decode(f: Factorization, context: Context) -> bytes:

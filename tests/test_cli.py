@@ -97,7 +97,7 @@ class TestNsd:
         assert "void" in res.output
 
     @pytest.mark.parametrize("option, value", [
-        ("--threads", "0"), ("--threads", "-2"), ("--l0", "-1"), ("--l0", "foo"),
+        ("--threads", "0"), ("--threads", "-2"), ("--l0", "-1"), ("--l0", "foo"), ("--func", "table:"),
     ])
     def test_bad_numeric_option_is_one_line_error(self, runner, tmp_path, option, value):
         files = write_corpus(tmp_path, SAMPLE)
@@ -278,6 +278,12 @@ class TestCausality:
         assert res.exit_code == 0, res.output
         assert "->" not in dot.read_text()
 
+    def test_needs_two_files(self, runner, tmp_path):
+        (one,) = write_corpus(tmp_path, {"solo": b"abcd" * 10})
+        res = runner.invoke(main, ["causality", one, "--out", str(tmp_path / "g.dot")])
+        assert res.exit_code == 1
+        assert res.output.strip().splitlines() == ["Error: need at least two input files"]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "foo"])
     def test_bad_threshold_is_one_line_error(self, runner, tmp_path, value):
         files = write_corpus(tmp_path, {"x": SAMPLE["alpha"]}) + [str(tmp_path / "missing")]
@@ -394,6 +400,14 @@ class TestSimulate:
         assert len(lines) == 5
         row = lines[1].split("\t")
         assert float(row[0]) == 5 and int(row[1]) == 2048
+
+    def test_out_file(self, runner, tmp_path):
+        spec, out = tmp_path / "sim.spec", tmp_path / "sim.tsv"
+        spec.write_text("mu 5\nl0 6\nlength 512\ntrials 3\n")
+        res = runner.invoke(main, ["simulate", str(spec), "--out", str(out)])
+        assert res.exit_code == 0 and res.output == ""
+        assert out.read_text() == runner.invoke(main, ["simulate", str(spec)]).output
+        assert len(out.read_text().splitlines()) == 2
 
     def test_missing_key_reported(self, runner, tmp_path):
         spec = tmp_path / "sim.spec"
@@ -544,6 +558,13 @@ def _computing_fails(exc):
         yield
 
 
+def _huge_matrix(n):
+    """A TSV matrix of n labels whose distances are all 1e308, too large for the tree's sums."""
+    labels = "xyzw"[:n]
+    rows = [label + "".join("\t" + ("0" if i == j else "1e308") for j in range(n)) for i, label in enumerate(labels)]
+    return ("\t" + "\t".join(labels) + "\n" + "\n".join(rows) + "\n").encode()
+
+
 def _bad_table(tmp_path, text="3 0.2 9\n"):
     table = tmp_path / "steps.txt"
     table.write_text(text)
@@ -571,9 +592,13 @@ def _bad_table(tmp_path, text="3 0.2 9\n"):
     lambda f, d: ["nsd", *f, "--func", "table:" + write_corpus(d, {"t.tbl": b"3 0.2\n\xff 1.0\n"})[0],
                   "--out", f"{d}/d.tsv"],
     lambda f, d: ["simulate", *write_corpus(d, {"sim.spec": b"mu 5\nl0 6\xff\nlength 64\n"})],
+    lambda f, d: ["cluster", *write_corpus(d, {"m.tsv": _huge_matrix(4)}), "--out", f"{d}/t.nwk"],
+    lambda f, d: ["cluster", *write_corpus(d, {"m.tsv": _huge_matrix(3)}), "--method", "upgma",
+                  "--out", f"{d}/t.nwk"],
 ], ids=["missing-table", "bad-table-line", "table-length-1e400", "table-length-2**31", "table-length-twice", "nsd-out",
         "causality-out", "factorize-out", "markov-spec", "dag-spec", "simulate-spec", "cluster-matrix",
-        "cluster-out", "simulate-out", "cluster-not-utf8", "table-not-utf8", "simulate-spec-not-utf8"])
+        "cluster-out", "simulate-out", "cluster-not-utf8", "table-not-utf8", "simulate-spec-not-utf8",
+        "cluster-nj-overflow", "cluster-upgma-overflow"])
 def test_bad_file_is_one_line_error(runner, tmp_path, make_args):
     files = write_corpus(tmp_path, {"x": SAMPLE["alpha"], "y": SAMPLE["beta"]})
     # an output path is checked before any cell is computed

@@ -64,6 +64,21 @@ def test_values_are_rows_of_floats():
         assert all(type(x) is float for row in m.values for x in row)
 
 
+@pytest.mark.parametrize("build", [neighbor_joining, upgma])
+@pytest.mark.parametrize("n, big", [(4, 1e308), (3, 1e308), (4, 1.2e307)])
+def test_distances_whose_sums_overflow_refused(build, n, big):
+    values = np.full((n, n), big) - np.diag([big] * n)
+    with pytest.raises(ValueError, match=f"^distances must be at most .* for {n} items$"):
+        build(dm("xyzw"[:n], values))
+
+
+@pytest.mark.parametrize("build", [neighbor_joining, upgma])
+def test_largest_distances_that_fit_build_a_tree(build):
+    t = build(dm("xyzw", np.full((4, 4), 1e307) - np.diag([1e307] * 4)))
+    assert sorted(t.leaves()) == list("wxyz")
+    assert all(np.isfinite(_branch_lengths(t)))
+
+
 class TestNeighborJoining:
     def test_two_leaves_split_edge(self):
         t = neighbor_joining(dm(["A", "B"], [[0, 3], [3, 0]]))

@@ -38,6 +38,10 @@ def _coupled_pair(rng, length=6000):
 
 
 class TestValidation:
+    def test_labels_and_strings_differ_in_length(self):
+        with pytest.raises(ValueError, match="^labels and strings differ in length$"):
+            StringSet(("a", "b"), (b"xx",))
+
     def test_duplicate_labels(self):
         with pytest.raises(ValueError, match="unique"):
             StringSet(("a", "a"), (b"xx", b"yy"))

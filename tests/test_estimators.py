@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from salza.estimators import (
     AdmissibleFunction,
     conditional_complexity,
+    estimate_from_lengths,
     joint_complexity,
     meaningful_cutoff,
     nsd,
+    nsd_matrix,
     simple_complexity,
 )
 from salza.lz import Context, Mode
@@ -133,6 +135,12 @@ class TestAdmissibleFunctions:
             AdmissibleFunction("table", table={1: 1.5})
         with pytest.raises(ValueError):
             AdmissibleFunction("table", table={})
+        with pytest.raises(ValueError, match="^table lengths must be sorted and distinct$"):
+            AdmissibleFunction("table", table=((5, 0.5), (3, 0.2)))
+
+    def test_unresolved_cutoff_weighs_nothing(self):
+        with pytest.raises(ValueError, match="^l0=None is resolved per context by conditional_complexity$"):
+            AdmissibleFunction().weights([3])
 
 
 class TestConditionalComplexity:
@@ -179,6 +187,19 @@ class TestConditionalComplexity:
         thr = conditional_complexity(x, c, AdmissibleFunction("threshold"))
         expl_thr = AdmissibleFunction("threshold", meaningful_cutoff(x, c))
         assert thr.value == conditional_complexity(x, c, expl_thr).value
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("l0", [None, 3.0], ids=["meaningful-cutoff", "given-cutoff"])
+    def test_empty_target_refused_alike_in_every_mode(self, mode, l0):
+        with pytest.raises(ValueError, match="^empty input$"):
+            conditional_complexity(b"", Context((b"abc",), mode), AdmissibleFunction("sigmoid", l0))
+
+
+def test_empty_inputs_refused():
+    with pytest.raises(ValueError, match="^no symbol lengths$"):
+        estimate_from_lengths([], 5, AdmissibleFunction("sigmoid", 3.0))
+    with pytest.raises(ValueError, match="^empty input$"):
+        nsd_matrix([b"a", b""])
 
 
 class TestSimpleComplexity:

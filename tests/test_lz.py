@@ -152,6 +152,28 @@ class TestReferenceLengths:
             assert sum(f.lengths) == len(target)
 
 
+class TestFactorizationValue:
+    def test_parse_equals_one_built_from_its_symbols(self):
+        y, context = b"abcabcabdxyzabcab", ctx([b"xyzab"], Mode.PAST_AND_SOURCES)
+        f = factorize(y, context)
+        g = Factorization(factorize(y, context).symbols, len(y), context.mode)
+        assert g.lengths == f.lengths == [1, 1, 1, 5, 1, 5, 3]
+        assert hash(f) == hash(g) and f == g  # hashing f makes its symbols
+        assert hash(factorize(y, context)) == hash(f)
+
+    def test_equality_with_another_type(self):
+        f = factorize(b"abcabc", ctx([], Mode.PAST_OF_BOTH))
+        assert f.__eq__(f.symbols) is NotImplemented
+        assert f != f.symbols
+
+    def test_repr_shows_the_symbols(self):
+        f = Factorization([Symbol(length=1, literal=97)], 1, Mode.SOURCE_ALL)
+        assert repr(f) == ("Factorization(symbols=(Symbol(length=1, literal=97, source=None, offset=None),), "
+                           "target_length=1, mode=<Mode.SOURCE_ALL: 'all'>)")
+        f = factorize(b"abcabc", ctx([], Mode.PAST_OF_BOTH))
+        assert repr(f).startswith("Factorization(symbols=(Symbol(length=1, literal=97, ") and f.lengths == [1, 1, 1, 3]
+
+
 @st.composite
 def fuzz_case(draw):
     mode = draw(st.sampled_from(ALL_MODES))

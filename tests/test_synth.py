@@ -145,6 +145,12 @@ class TestDagProcesses:
         with pytest.raises(ValueError, match="must be"):
             DagSpec(CHAIN_3, length=100, seed=0, **{field: value})
 
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 4), (3,)])
+    def test_connectivity_not_n_by_n_plus_one_rejected(self, shape):
+        m = np.full(shape, 1.0 / shape[-1])
+        with pytest.raises(ValueError, match=r"^connectivity must be N x \(N\+1\)$"):
+            DagSpec(m, length=100, seed=0)
+
     def test_row_sum_rejected(self):
         m = np.array([[0.0, 0.5, 0.4], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="sum to 1"):

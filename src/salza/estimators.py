@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .index import MAX_LENGTH, Index
+from .index import CHUNK, MAX_LENGTH, Index
 from .lz import MIN_MATCH, Context, Mode, factorize
 
 
@@ -80,14 +80,25 @@ class AdmissibleFunction:
         if self.kind == "threshold":
             return (lengths > self.l0).astype(float)
         # the scalar formula once per distinct length (np.exp differs from
-        # math.exp in the last ulp for some arguments), looked up in a table
-        # as long as the longest symbol
-        distinct = np.bincount(lengths).nonzero()[0]
-        z = [self.l0 - l for l in distinct.tolist()]
-        lut = np.zeros(distinct[-1] + 1)
-        # exp overflow guard for degenerate cutoffs
-        lut[distinct] = [0.0 if v > 700.0 else 1.0 / (1.0 + math.exp(v)) for v in z]
-        return lut[lengths]
+        # math.exp in the last ulp for some arguments): through a table by
+        # length while that is shorter than the array or CHUNK, else by a
+        # dict over the lengths other than 1, so that a long one costs no
+        # memory (np.unique's sort pages numpy's sort code in when first used)
+        def sigmoid(l):
+            v = self.l0 - l
+            return 0.0 if v > 700.0 else 1.0 / (1.0 + math.exp(v))  # exp overflow guard for degenerate cutoffs
+
+        if lengths.size and lengths.max() < max(CHUNK, lengths.size):
+            distinct = np.bincount(lengths).nonzero()[0]
+            table = np.zeros(distinct[-1] + 1)
+            table[distinct] = [sigmoid(l) for l in distinct.tolist()]
+            return table.take(lengths)
+        w = np.full(lengths.shape, sigmoid(1))
+        others = np.flatnonzero(lengths != 1)
+        longer = lengths[others].tolist()
+        weight = {l: sigmoid(l) for l in set(longer)}
+        w[others] = [weight[l] for l in longer]
+        return w
 
     def __call__(self, length: int) -> float:
         return float(self.weights([length])[0])
@@ -119,9 +130,10 @@ class Estimate:
     size: float
 
 
-def estimate_from_lengths(lengths: Sequence[int], n: int, f: AdmissibleFunction) -> Estimate:
+def estimate_from_lengths(lengths: np.ndarray | Sequence[int], n: int, f: AdmissibleFunction) -> Estimate:
     """Evaluate the two-factor estimate on a symbol-length multiset.
 
+    An integer array, such as Factorization.lengths, is read as it is.
     The sums run in order (cumsum, not numpy's pairwise sum), so they equal
     a left-to-right loop bit for bit.
     """
@@ -142,15 +154,16 @@ def conditional_complexity(x: bytes, context: Context, f: AdmissibleFunction | N
     f defaults to the sigmoid; a cutoff of None becomes the context's
     meaningful cutoff.
     """
-    f = AdmissibleFunction() if f is None else f
-    if f.kind != "table" and f.l0 is None:
-        f = AdmissibleFunction(f.kind, meaningful_cutoff(x, context))
+    if f is None or f.kind != "table" and f.l0 is None:
+        f = AdmissibleFunction("sigmoid" if f is None else f.kind, meaningful_cutoff(x, context))
     fact = factorize(x, context)
     return estimate_from_lengths(fact.lengths, len(x), f)
 
 
 def simple_complexity(x: bytes, f: AdmissibleFunction | None = None) -> Estimate:
     """Complexity of x alone: factorization against its own past."""
+    if not x:
+        raise ValueError("empty input")
     return conditional_complexity(x, Context((bytes(x),), Mode.SOURCE_PAST), f)
 
 
@@ -186,8 +199,11 @@ def nsd_matrix(strings: Sequence[bytes], f: AdmissibleFunction | None = None) ->
     One Index over the strings serves every cell.  The cells are estimated
     one source r at a time, so that the index answers all of r's targets
     from one nearest pass (see Index).  Equal strings share an index entry,
-    and a pair small enough for the dense kernel takes it instead.
+    and a pair small enough for the dense kernel takes it instead.  No
+    strings give a 0 x 0 matrix.
     """
+    if not strings:
+        return np.zeros((0, 0))
     return _nsd_matrix([bytes(s) for s in strings], f)
 
 

@@ -20,6 +20,7 @@ every input: the dense kernel gives only the match lengths.
 from __future__ import annotations
 
 from functools import partial, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -463,15 +464,23 @@ class Index:
     def _whole_row(self, r: int) -> np.ndarray:
         """Every string's match array against the whole of strings[r], at its place in the index.
 
-        One nearest pass, with the suffixes of strings[r] as the points and
-        all others as the queries.  The positions of strings[r] hold its
-        suffix lengths: a string matches itself whole.
+        A nearest pass with r's suffixes as the points: the scan down writes
+        each suffix's match with the nearest point before it at the suffix's
+        position, and the scan up raises it to the match with the nearest
+        after.  r's own positions then get its suffix lengths: a string
+        matches itself whole.
         """
-        size = len(self.strings[r])
         out = np.zeros(self._width, np.int32)
-        out[self._starts[r] : self._starts[r] + size] = np.arange(size, 0, -1)
-        mine = self._sid == r
-        _nearest(out, self._sa, self._lcp, mine, ~mine)
+        down, up = _sides(self._sa, self._lcp, self._sid == r)
+        sa, lcp, mine = down
+        for s, w in _since(lcp, mine):
+            out[sa[s]] = w
+        sa, lcp, mine = up
+        for s, w in _since(lcp, mine):
+            at = sa[s]
+            out[at] = np.maximum(out[at], w)
+        size = len(self.strings[r])
+        out[self._starts[r] : self._starts[r] + size] = np.arange(size, 0, -1, dtype=np.int32)
         return out
 
     def _aligned(self, t: int, r: int) -> np.ndarray:
@@ -611,7 +620,8 @@ def _dense(target: bytes, regions: list[tuple[bytes, bool]]) -> np.ndarray:
     sizes = [len(s) + 1 for s, _ in regions]
     width = sum(sizes)
     row = np.frombuffer(b"\0".join(s for s, _ in regions) + b"\0", np.uint8).astype(np.int16)
-    row[np.cumsum(sizes) - 1] = -1
+    for end in accumulate(sizes):
+        row[end - 1] = -1
     # One row and one column on is a stride of width + 1: as the columns
     # of this view the diagonals run down, and each run ends at a 0.
     step = width + 1

@@ -98,7 +98,8 @@ class Symbol(NamedTuple):
 class Factorization:
     """The symbols of one parse, their lengths, the target's length and the mode.
 
-    The estimators read only the lengths.  symbols may be a function that
+    lengths is an int32 array, the symbols' lengths in order, from either
+    constructor; the estimators read only it.  symbols may be a function that
     makes them, passed with the lengths, as factorize does: it runs on the
     first read of symbols, and until then the parse holds only what the
     offsets are read from.
@@ -107,11 +108,11 @@ class Factorization:
     __slots__ = ("_symbols", "target_length", "mode", "lengths")
 
     def __init__(self, symbols: tuple[Symbol, ...] | Callable[[], tuple[Symbol, ...]], target_length: int,
-                 mode: Mode, lengths: list[int] | None = None):
+                 mode: Mode, lengths: np.ndarray | None = None):
         self._symbols = symbols if callable(symbols) else tuple(symbols)
         self.target_length = target_length
         self.mode = mode
-        self.lengths = [sym.length for sym in self.symbols] if lengths is None else lengths
+        self.lengths = np.array([sym.length for sym in self.symbols], np.int32) if lengths is None else lengths
 
     @property
     def symbols(self) -> tuple[Symbol, ...]:
@@ -136,30 +137,32 @@ class Factorization:
 _LITERALS = tuple(Symbol(length=1, literal=b) for b in range(256))
 
 
-def walk(best: np.ndarray) -> list[int]:
-    """Symbol lengths of the greedy parse over best, the longest match at each position.
+def walk(best: np.ndarray) -> np.ndarray:
+    """Symbol lengths of the greedy parse over best, the longest match at each position, as int32.
 
     A match of at least MIN_MATCH is a reference of that length; below it
-    the position is a literal, of length 1.
+    the position is a literal, of length 1.  The loop visits the references
+    alone, jumping from the end of each to the next position where one can
+    start.
     """
     n = len(best)
-    # next position at or after each one where a reference can start
-    nxt = np.arange(n, dtype=np.int32)
-    nxt[best < MIN_MATCH] = n
+    # next position at or after each one where a reference can start; n past the end
+    nxt = np.arange(n + 1, dtype=np.int32)
+    nxt[:n][best < MIN_MATCH] = n
     np.minimum.accumulate(nxt[::-1], out=nxt[::-1])
+    # Each reference's length goes, negated, to its place among the symbols
+    # in nxt, a place the walk has passed: nxt is read only beyond the
+    # reference's start.  extra counts the positions covered so far beyond
+    # one symbol per reference.
     best_v, nxt_v = memoryview(best), memoryview(nxt)
-    lengths: list[int] = []
-    t = 0
+    t, extra = nxt_v[0], 0
     while t < n:
-        u = nxt_v[t]
-        if u > t:
-            lengths += [1] * (u - t)
-            t = u
-            if t == n:
-                break
         length = best_v[t]
-        lengths.append(length)
-        t += length
+        nxt_v[t - extra] = -length
+        extra += length - 1
+        t = nxt_v[t + length]
+    lengths = -nxt[: n - extra]
+    np.maximum(lengths, 1, out=lengths)  # a place left as it was holds a position: a literal
     return lengths
 
 
@@ -180,13 +183,12 @@ def factorize(target: bytes, context: Context) -> Factorization:
 
     def make() -> tuple[Symbol, ...]:
         nonlocal where
-        size = np.array(lengths)
-        ref = size > 1
-        region, start = where((np.cumsum(size) - size)[ref], size[ref])
+        ref = lengths > 1
+        region, start = where((np.cumsum(lengths) - lengths)[ref], lengths[ref])
         where = None  # an index made for this parse goes before the symbols come: a lower peak RSS
         refs = zip(region.tolist(), start.tolist())
         out, t = [], 0
-        for length in lengths:
+        for length in lengths.tolist():
             if length == 1:
                 out.append(_LITERALS[target[t]])
             else:

@@ -380,7 +380,7 @@ class TestFactorize:
         assert decode(f, context) == y
         refs = [sym for sym in symbols if not sym.is_literal]
         assert refs[0] == Symbol(length=8192, source=0, offset=8192)  # b, found in x after a
-        assert [(sym.source, sym.offset) for sym in refs] == find_references(y, context, f.lengths)
+        assert [(sym.source, sym.offset) for sym in refs] == find_references(y, context, f.lengths.tolist())
 
     def test_mode_validation_error(self, runner, tmp_path):
         t = tmp_path / "t"

@@ -142,6 +142,41 @@ class TestAdmissibleFunctions:
         with pytest.raises(ValueError, match="^l0=None is resolved per context by conditional_complexity$"):
             AdmissibleFunction().weights([3])
 
+    @pytest.mark.parametrize("f", [
+        AdmissibleFunction("sigmoid", 3), AdmissibleFunction("threshold", 3), AdmissibleFunction("table", table={3: 0.5}),
+    ], ids=["sigmoid", "threshold", "table"])
+    def test_no_lengths_weigh_to_an_empty_array(self, f):
+        for lengths in ([], np.zeros(0, np.int32)):
+            w = f.weights(lengths)
+            assert w.dtype == np.float64 and w.shape == (0,)
+
+    def test_sigmoid_memory_does_not_grow_with_the_longest_length(self):
+        import tracemalloc
+
+        f = AdmissibleFunction("sigmoid", 3)
+        lengths = np.array([1, 10**7, 5, 1], np.int32)
+        tracemalloc.start()
+        try:
+            w = f.weights(lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # a table as long as the longest length would take 80 MB
+        assert w.tolist() == [f(1), 1.0, f(5), f(1)]
+        assert f(2**31 - 1) == 1.0
+
+    def test_sigmoid_weighs_a_parse_with_a_long_reference_as_the_loop_does(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            l0 = float(rng.uniform(0, 12))
+            f, weight = _loop_weight("sigmoid", l0)
+            lengths = rng.geometric(rng.uniform(0.05, 0.9), int(rng.integers(1, 3000)))
+            lengths[rng.integers(len(lengths))] = int(rng.integers(10_000, 100_000))  # longer than the array and CHUNK
+            n = int(lengths.sum())
+            assert f.weights(lengths).tolist() == [weight(l) for l in lengths.tolist()]
+            est = estimate_from_lengths(lengths.astype(np.int32), n, f)
+            assert (est.value, est.spread, est.size) == _loop_estimate(lengths.tolist(), n, weight)
+
 
 class TestConditionalComplexity:
     def test_self_is_zero(self):
@@ -200,6 +235,9 @@ def test_empty_inputs_refused():
         estimate_from_lengths([], 5, AdmissibleFunction("sigmoid", 3.0))
     with pytest.raises(ValueError, match="^empty input$"):
         nsd_matrix([b"a", b""])
+    with pytest.raises(ValueError, match="^empty input$"):
+        simple_complexity(b"")
+    assert nsd_matrix([]).shape == (0, 0)  # as nsd_matrix([x]) is [[0.]]
 
 
 class TestSimpleComplexity:
@@ -358,3 +396,4 @@ def test_estimate_equals_per_length_loop(kind, l0):
         assert f.weights(lengths).tolist() == [weight(l) for l in lengths]
         est = estimate_from_lengths(lengths, n, f)
         assert (est.value, est.spread, est.size) == _loop_estimate(lengths, n, weight)
+        assert estimate_from_lengths(np.array(lengths, np.int32), n, f) == est  # as a parse gives them

@@ -513,7 +513,7 @@ def _assert_offsets_leftmost(target, context, f):
     The sources and offsets are Python ints, and f decodes.
     """
     refs = [sym for sym in f.symbols if not sym.is_literal]
-    assert [(sym.source, sym.offset) for sym in refs] == find_references(target, context, f.lengths)
+    assert [(sym.source, sym.offset) for sym in refs] == find_references(target, context, f.lengths.tolist())
     assert all(type(sym.source) is type(sym.offset) is int for sym in refs)  # not np.int64: repr(f) depends on it
     assert decode(f, context) == target
 

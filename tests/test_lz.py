@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import naive_factorize
-from salza.lz import SELF, Context, Factorization, Mode, Symbol, decode, factorize
+from salza.lz import MIN_MATCH, SELF, Context, Factorization, Mode, Symbol, decode, factorize, walk
 
 ALL_MODES = list(Mode)
 
@@ -133,16 +133,16 @@ class TestReferenceLengths:
     def test_single_symbol_case(self):
         x = b"some repeated text!"
         f = factorize(x, ctx([x], Mode.SOURCE_ALL))
-        assert f.lengths == [len(x)]
+        assert f.lengths.tolist() == [len(x)]
 
     def test_all_literals(self):
         target = bytes([1, 2, 3, 1, 2])
         f = factorize(target, ctx([bytes([9, 8, 7, 9, 8])], Mode.SOURCE_ALL))
-        assert f.lengths == [1] * 5
+        assert f.lengths.tolist() == [1] * 5
 
     def test_mixed(self):
         f = factorize(b"abcabcabd", ctx([], Mode.PAST_OF_BOTH))
-        assert f.lengths == [1, 1, 1, 5, 1]
+        assert f.lengths.tolist() == [1, 1, 1, 5, 1]
 
     def test_length_conservation(self):
         rng = np.random.default_rng(3)
@@ -157,9 +157,21 @@ class TestFactorizationValue:
         y, context = b"abcabcabdxyzabcab", ctx([b"xyzab"], Mode.PAST_AND_SOURCES)
         f = factorize(y, context)
         g = Factorization(factorize(y, context).symbols, len(y), context.mode)
-        assert g.lengths == f.lengths == [1, 1, 1, 5, 1, 5, 3]
+        assert g.lengths.tolist() == f.lengths.tolist() == [1, 1, 1, 5, 1, 5, 3]
         assert hash(f) == hash(g) and f == g  # hashing f makes its symbols
         assert hash(factorize(y, context)) == hash(f)
+
+    def test_lengths_are_one_int32_array_from_either_constructor(self):
+        for y, context in [(b"abcabcabdxyzabcab", ctx([b"xyzab"], Mode.PAST_AND_SOURCES)),
+                           (b"q", ctx([b"abc"], Mode.SOURCE_ALL)),
+                           (bytes(range(40)) * 3, ctx([], Mode.PAST_OF_BOTH))]:
+            f = factorize(y, context)
+            g = Factorization(f.symbols, len(y), context.mode)
+            assert isinstance(f.lengths, np.ndarray) and f.lengths.dtype == g.lengths.dtype == np.int32
+            assert np.array_equal(f.lengths, g.lengths)
+            assert f.lengths.tolist() == [sym.length for sym in f.symbols]
+            assert f == g and hash(f) == hash(g)
+        assert Factorization((), 0, Mode.SOURCE_ALL).lengths.dtype == np.int32
 
     def test_equality_with_another_type(self):
         f = factorize(b"abcabc", ctx([], Mode.PAST_OF_BOTH))
@@ -171,7 +183,36 @@ class TestFactorizationValue:
         assert repr(f) == ("Factorization(symbols=(Symbol(length=1, literal=97, source=None, offset=None),), "
                            "target_length=1, mode=<Mode.SOURCE_ALL: 'all'>)")
         f = factorize(b"abcabc", ctx([], Mode.PAST_OF_BOTH))
-        assert repr(f).startswith("Factorization(symbols=(Symbol(length=1, literal=97, ") and f.lengths == [1, 1, 1, 3]
+        assert repr(f).startswith("Factorization(symbols=(Symbol(length=1, literal=97, ") and f.lengths.tolist() == [1, 1, 1, 3]
+
+
+def _greedy(best) -> list[int]:
+    """The greedy parse over best, one position at a time."""
+    out, t = [], 0
+    while t < len(best):
+        out.append(int(best[t]) if best[t] >= MIN_MATCH else 1)
+        t += out[-1]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64])
+def test_walk_equals_a_greedy_loop(dtype):
+    """Fuzzed match arrays: all literals, values 0-2, references that end the target, n = 1."""
+    rng = np.random.default_rng(17)
+    cases = [np.zeros(1), np.full(1, 1), np.full(7, 2), np.zeros(0), np.array([3, 0, 0]), np.array([0, 5, 4, 3, 0, 0])]
+    for _ in range(400):
+        n = int(rng.integers(1, 300))
+        room = n - np.arange(n)  # a match never runs past the end
+        best = np.minimum(rng.integers(0, 3, n), room)
+        refs = rng.random(n) < rng.choice([0.0, 0.05, 0.3, 1.0])
+        best[refs] = np.minimum(rng.integers(MIN_MATCH, 12, n), room)[refs]
+        if rng.random() < 0.3:  # the last reference runs exactly to the end
+            at = max(n - int(rng.integers(MIN_MATCH, 20)), 0)
+            best[at] = room[at]
+        cases.append(best)
+    for best in cases:
+        got = walk(best.astype(dtype))
+        assert got.dtype == np.int32 and got.tolist() == _greedy(best)
 
 
 @st.composite

@@ -187,6 +187,8 @@ def nsd(x: bytes, y: bytes, f: AdmissibleFunction | None = None) -> float:
     """Normalized semi-distance: max of the two cross-parsing estimates.
 
     Symmetric and nonnegative; zero exactly for equal inputs of length >= 3.
+    Shorter inputs can never be matched: equal 2-byte inputs are at 0.25,
+    and any two 1-byte inputs at 0, since a parse of one symbol estimates 0.
     The triangle inequality does not hold in general.  This is the
     two-string case of nsd_matrix.
     """
@@ -212,8 +214,8 @@ def _nsd_matrix(strings: Sequence[bytes], f: AdmissibleFunction | None) -> np.nd
         raise ValueError("empty input")
     if len(strings) > 1 and min(map(len, strings)) < MIN_MATCH:
         warnings.warn(
-            "strings shorter than 3 bytes can never be matched; "
-            "the distance is positive even for equal inputs",
+            "strings shorter than 3 bytes can never be matched: "
+            "equal 2-byte strings are at a positive distance, and any two 1-byte strings at 0",
             stacklevel=3,  # the caller of nsd or nsd_matrix
         )
     index = Index(strings)

@@ -7,10 +7,12 @@ target's own past when the region is the target).  A generalized suffix
 array with its LCP array gives them in O(N log N) vectorized work; inputs
 too small to pay for it take a dense kernel instead.
 
-Every kernel over the suffix array rests on one scan, _since: each
+The kernels over the suffix array but one rest on one scan, _since: each
 element's match with the last marked element before it, the running
 minimum of the LCP since the mark, carried across CHUNK-sized pieces.  The
-scan down the sequence is the same scan up its reversed views.
+scan down the sequence is the same scan up its reversed views.  The own
+past instead takes each suffix's nearest earlier and later suffixes of
+smaller position, by pointer jumping (_jump).
 
 A reference's region and leftmost start both come from one minimum over
 the run of the suffix array that shares its match (Index.leftmost), for
@@ -186,8 +188,9 @@ def _levels(visit, pos, lcp, sid, b: int) -> None:
     """Run visit at every level of a sequence one block above bit b, from the top.
 
     The sequence holds suffixes in suffix-array order: pos their positions
-    in their strings, and sid their strings (None: all of one string).  A pair
-    p < q of positions first differs in one bit, where p has 0 and q has 1.
+    in their strings, and sid their strings or whether each is a region's.
+    A pair p < q of positions first differs in one bit, where p has 0 and q
+    has 1.
     Going down from the top bit b, the elements stay in blocks of equal
     position >> (b + 1), each in suffix-array order, and at bit b
     visit(pos, lcp, sid, low, bit) matches the points, with bit b clear
@@ -205,7 +208,7 @@ def _levels(visit, pos, lcp, sid, b: int) -> None:
             return
         _child_lcp(lcp, bit, low)
         b -= 1
-        arrays = [pos, lcp[:-1]] + ([] if sid is None else [sid])
+        arrays = [pos, lcp[:-1], sid]
         if len(pos) > CHUNK:
             # the second half's first lcp (0) also ends the first half
             zeros = int(np.count_nonzero(low))
@@ -216,11 +219,98 @@ def _levels(visit, pos, lcp, sid, b: int) -> None:
             del bit, low, tail
             for lo, hi in ((0, zeros), (zeros, len(pos))):
                 if hi > lo:
-                    _levels(visit, pos[lo:hi], lcp[lo : hi + 1], None if sid is None else sid[lo:hi], b)
+                    _levels(visit, pos[lo:hi], lcp[lo : hi + 1], sid[lo:hi], b)
             return
         order = np.argsort(pos >> (b + 1), kind="stable")
         for a in arrays:
             a[:] = a[order]
+
+
+def _jump(ptr: np.ndarray, h: np.ndarray, rounds: int) -> np.ndarray:
+    """Move each position's pointer to the nearest smaller position before it, in at most rounds rounds.
+
+    ptr[p] is a position whose suffix comes before p's in some order, every
+    suffix between them having a position not below p, and h[p] is the lcp
+    over them; ptr -1 (h 0) is none.  While ptr[p] > p and h[p] > 0, p
+    takes its pointer's pointer and the smaller h: then ptr[p] < p, and
+    h[p] is the lcp with it, or h[p] is 0.  Pointers whose own pointers
+    are final move one element a round, so rounds bounds them.  The active
+    positions are moved CHUNK at a time and packed into one int32 array;
+    returns those left.
+    """
+    n = len(ptr)
+    todo, size = np.empty(n, np.int32), 0
+    for lo in range(0, n, CHUNK):
+        p = np.arange(lo, min(lo + CHUNK, n), dtype=np.int32)
+        p = p[(ptr[lo : lo + CHUNK] > p) & (h[lo : lo + CHUNK] > 0)]
+        todo[size : size + len(p)] = p
+        size += len(p)
+    for _ in range(rounds):
+        if not size:
+            break
+        kept = 0
+        for lo in range(0, size, CHUNK):  # the kept ones land on entries already read
+            p = todo[lo : min(lo + CHUNK, size)]
+            q = ptr[p]
+            hp = np.minimum(h[p], h[q])
+            h[p] = hp
+            q = ptr[q]
+            ptr[p] = q
+            p = p[(q > p) & (hp > 0)]
+            todo[kept : kept + len(p)] = p
+            kept += len(p)
+        size = kept
+    return todo[:size].copy()
+
+
+def _finish(pos: np.ndarray, lcp: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """lcp of each element e (ascending) with the nearest earlier one of smaller position, 0 if none.
+
+    Over aligned blocks of doubling size 2s, from s = 1: an element in a
+    block's right half with no answer yet has none in that half, so its
+    answer is the last element of the left half below its position, if
+    any: the last whose suffix minimum of position there is below it,
+    found for all blocks by one searchsorted.  Its lcp is the smaller of
+    the lcp minima from there to the left half's end and from the right
+    half's start to the element.  Each level reads each block holding such
+    an element once: O(n log n) in all.  Blocks are read CHUNK positions at
+    a time, or one at a time when longer.
+    """
+    out, done, s = np.zeros(len(e), np.int32), np.zeros(len(e), bool), 1
+    while s < len(pos) and not done.all():
+        look = np.flatnonzero(~done & ((e & s) > 0))  # in a right half
+        q = e[look]
+        blocks, which = np.unique(q & -2 * s, return_inverse=True)
+        per = max(1, CHUNK // s)
+        for lo in range(0, len(blocks), per):
+            at = blocks[lo : lo + per]
+            mine = slice(*np.searchsorted(which, [lo, lo + per]))
+            row, x = which[mine] - lo, -pos[q[mine]]
+            # minus the suffix minima of position, from the half's end: ascending
+            low = np.minimum.accumulate(_rows(pos, at, s)[:, ::-1], axis=1)
+            np.negative(low, out=low)
+            if len(at) > 1:  # each row above the ones before
+                low = low + (np.arange(len(at), dtype=np.int64) << 32)[:, None]
+                x = x + (row << 32)
+            j = s - 1 - (np.searchsorted(low.ravel(), x, side="right") - row * s)  # the last below, in the half
+            del low
+            hit = j >= 0
+            row, j, qm, got = row[hit], j[hit], q[mine][hit], look[mine][hit]
+            upto = np.minimum.accumulate(_rows(lcp, at, s)[:, ::-1], axis=1)[:, ::-1]  # lcp[first + i..] of the half
+            a = np.where(j + 1 < s, upto[row, np.minimum(j + 1, s - 1)], _INF)
+            del upto
+            b = np.minimum.accumulate(_rows(lcp, at + s, s), axis=1)[row, qm - at[row] - s]
+            out[got] = np.minimum(a, b)
+            done[got] = True
+        s *= 2
+    return out
+
+
+def _rows(a: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """a[start : start + width] for each of starts, as rows (a view for one; clipped at a's end)."""
+    if len(starts) == 1:
+        return a[starts[0] : starts[0] + width][None]
+    return a.take(starts[:, None] + np.arange(width), mode="clip")
 
 
 def _codes(strings: tuple[bytes, ...], dtype, pad: int = 0) -> np.ndarray:
@@ -244,36 +334,44 @@ def _suffix_array(strings: tuple[bytes, ...]) -> tuple[np.ndarray, np.ndarray]:
     rank[i] is the first slot of suffix i's group: the suffixes that share
     its first k codes (Manber & Myers).  Each slot's int64 key holds its
     suffix in the low ib bits, which carry the order from round to round.
-    The first round sorts (code << ib) + i; a later one sorts each group by
-    the rank k further on, packed with the group's offset in its block above
-    the suffix.  Where the fields do not fit in KEY_BITS, the slots go in
-    blocks of whole groups, each sorted on its own; a block may see ranks
-    that an earlier block of the round already refined, which orders no two
-    suffixes wrongly (Larsson & Sadakane).  The rank, the keys and the group
-    starts take 13 bytes per suffix, besides the sort's own buffer.  The
-    suffix array, the keys' low bits, is returned in the first half of the
-    keys' memory, as int32, and the second half is left for the LCP array.
+    The first round sorts the suffixes by their first q codes, packed as the
+    codes' dense ranks (letters present, then separators) into the bits
+    above the suffix by doubling the codes per key (_pack); a q-gram that
+    runs past a separator is already unique.  A later round sorts each open
+    group, of two or more slots, by the rank k further on (Larsson &
+    Sadakane): see _refine.  The keys, the rank and the group starts take
+    13 bytes per suffix.  The suffix array, the keys' low bits, is returned
+    in the first half of the keys' memory, as int32, and the second half is
+    left for the LCP array.
     """
     key = _codes(strings, np.int64)
     n = len(key)
-    rb, ib = n.bit_length(), (n - 1).bit_length()
+    ib = (n - 1).bit_length()
+    dense = np.zeros(256 + len(strings), np.int64)
     for lo in range(0, n, CHUNK):
-        key[lo : lo + CHUNK] = (key[lo : lo + CHUNK] << ib) + np.arange(lo, min(lo + CHUNK, n))
+        dense[key[lo : lo + CHUNK]] = 1
+    bits = max(1, (int(dense.sum()) - 1).bit_length())
+    np.cumsum(dense, out=dense)
+    dense -= 1
+    for lo in range(0, n, CHUNK):
+        key[lo : lo + CHUNK] = dense[key[lo : lo + CHUNK]]
+    q = min((KEY_BITS - ib) // bits, n)
+    w = 1  # codes packed in each key so far
+    for bit in bin(q)[3:]:  # q from its top bit: twice the codes, then one more if the bit is set
+        _pack(key, w, bits * w)
+        w *= 2
+        if bit == "1":
+            _pack(key, w, bits, bits * (w - 1))
+            w += 1
+    key <<= ib
+    for lo in range(0, n, CHUNK):
+        key[lo : lo + CHUNK] += np.arange(lo, min(lo + CHUNK, n))
     rank, head = np.empty(n, np.int32), np.zeros(n + 1, bool)  # head[j]: a group starts at slot j
     head[n] = True
+    key.sort()
     _settle(rank, head, key, 0, ib)
-    span = 1 << (KEY_BITS - rb - ib)  # slots per block
-    k = 1
-    while not head.all():
-        a = 0
-        while a < n:
-            b = min(a + span, n)
-            if not head[b]:  # end the block at the last group start, or after a group that fills it
-                back = int(np.argmax(head[a + 1 : b + 1][::-1]))
-                b = b - back if head[b - back] else a + 1 + int(np.argmax(head[a + 1 :]))
-            if not head[a:b].all():
-                _sort_block(rank, head, key[a:b], a, k, rb, ib)
-            a = b
+    k = q
+    while _refine(rank, head, key, k, ib):
         k *= 2
     sa = key.view(np.int32)
     for lo in range(0, n, CHUNK):  # each chunk lands on keys already read
@@ -281,30 +379,122 @@ def _suffix_array(strings: tuple[bytes, ...]) -> tuple[np.ndarray, np.ndarray]:
     return sa, rank
 
 
-def _sort_block(rank, head, key, a: int, k: int, rb: int, ib: int) -> None:
-    """Split the groups of the block from slot a by the rank k suffixes further on, repacked into its keys."""
+def _pack(key: np.ndarray, w: int, shift: int, drop: int = 0) -> None:
+    """Shift each key left by shift and add the key w further on, shifted right by drop; in place.
+
+    Each key is read before it is written: the chunks go up, and a chunk's
+    own keys are read whole before it is written.  Past the end the key
+    read is 0: past a separator no code decides the order.
+    """
+    n = len(key)
+    for lo in range(0, n, CHUNK):
+        part = key[lo : lo + CHUNK]
+        ahead = key[lo + w : lo + w + len(part)] >> drop
+        part <<= shift
+        part[: len(ahead)] |= ahead
+
+
+def _refine(rank, head, key, k: int, ib: int) -> bool:
+    """Sort every open group by the rank k further on, then settle it; False if none is open.
+
+    A window of whole groups (_windows) at least half of whose slots are
+    open, or one group longer than CHUNK, is sorted in place.  The open
+    groups of the other windows are gathered into one buffer, at most CHUNK
+    slots at a time.  A group may see ranks that an earlier one of the
+    round already refined, which orders no two suffixes wrongly.
+    """
+    found, batch, size = False, np.empty(CHUNK, np.int32), 0
+    for a, b in _windows(head):
+        slots = np.flatnonzero(~(head[a:b] & head[a + 1 : b + 1])) if b - a <= CHUNK else None
+        if slots is None or 2 * len(slots) >= b - a:  # one longer group, or mostly open
+            _sort_groups(rank, head, key[a:b], a, k, ib)
+            found = True
+            continue
+        if size + len(slots) > CHUNK:
+            _sort_gathered(rank, head, key, batch[:size], k, ib)
+            size = 0
+        batch[size : size + len(slots)] = slots
+        batch[size : size + len(slots)] += a
+        size += len(slots)
+        found |= len(slots) > 0
+    if size:
+        _sort_gathered(rank, head, key, batch[:size], k, ib)
+    return found
+
+
+def _windows(head):
+    """Runs of whole groups: to the last group start within CHUNK slots, or one longer group."""
+    n, a = len(head) - 1, 0
+    while a < n:
+        b = min(a + CHUNK, n)
+        if not head[b]:
+            back = int(np.argmax(head[a + 1 : b + 1][::-1]))
+            b = b - back if head[b - back] else a + 1 + int(np.argmax(head[a + 1 :]))
+        yield a, b
+        a = b
+
+
+def _sort_gathered(rank, head, key, at: np.ndarray, k: int, ib: int) -> None:
+    """_sort_groups on the keys of slots at, gathered and written back."""
+    part = key[at]
+    _sort_groups(rank, head, part, at, k, ib)
+    key[at] = part
+
+
+def _sort_groups(rank, head, key, at, k: int, ib: int) -> None:
+    """Sort the keys of whole groups by group, then the rank k further on, and settle them.
+
+    at is the keys' slots: ascending, or the first of a run.  Each group's
+    ordinal among them goes above the rank; where the ordinals do not fit
+    in KEY_BITS, the keys are sorted in pieces of whole groups.
+    """
+    span = 1 << (KEY_BITS - 2 * ib)  # groups whose ordinals fit above rank and suffix
+    firsts = head[at] if isinstance(at, np.ndarray) else head[at : at + len(key)]
+    count = 0
     for lo in range(0, len(key), CHUNK):
         part = key[lo : lo + CHUNK]
         i = part & ((1 << ib) - 1)
-        packed = (rank[i].astype(np.int64) - a) << rb
-        packed += np.where(i + k < len(rank), rank.take(i + k, mode="clip") + 1, 0)
-        part[:] = (packed << ib) + i
-    _settle(rank, head, key, a, ib)
+        g = np.cumsum(firsts[lo : lo + CHUNK], dtype=np.int64)
+        g += count - 1
+        count = int(g[-1]) + 1
+        g &= span - 1
+        g <<= ib
+        g += rank.take(i + k, mode="clip")  # a singleton, alone in its group, may have none
+        g <<= ib
+        g |= i
+        part[:] = g
+        del i, g
+    pieces = np.flatnonzero(firsts)[::span].tolist()
+    for lo, hi in zip(pieces, pieces[1:] + [len(key)]):
+        key[lo:hi].sort()
+    _settle(rank, head, key, at, ib)
 
 
-def _settle(rank, head, key, a: int, ib: int) -> None:
-    """Sort the keys of slots a.., then start a group wherever the bits above the suffix change."""
-    key.sort()
-    last, start = -1, a
+def _settle(rank, head, key, at, ib: int) -> None:
+    """Start a group, in the sorted keys of slots at, wherever one started or the bits above the suffix change.
+
+    at is the keys' slots: ascending, or the first of a run.
+    """
+    gathered, last, start = isinstance(at, np.ndarray), -1, 0
     for lo in range(0, len(key), CHUNK):
         part = key[lo : lo + CHUNK]
+        if gathered:
+            slot = at[lo : lo + CHUNK]
+            new = head[slot]
+        else:
+            slot = np.arange(at + lo, at + lo + len(part), dtype=np.int32)
+            new = head[at + lo : at + lo + len(part)]  # a view: set in place
         group = part >> ib
-        new = np.concatenate(([group[0] != last], group[1:] != group[:-1]))
-        head[a + lo : a + lo + len(part)] = new
-        starts = np.where(new, np.arange(a + lo, a + lo + len(part)), start)
+        new[0] |= group[0] != last
+        new[1:] |= group[1:] != group[:-1]
+        last = group[-1]
+        del group
+        if gathered:
+            head[slot] = new
+        starts = np.where(new, slot, start)
         np.maximum.accumulate(starts, out=starts)
         rank[part & ((1 << ib) - 1)] = starts
-        last, start = group[-1], starts[-1]
+        start = starts[-1]
 
 
 def _lcp(strings: tuple[bytes, ...], sa: np.ndarray, rank: np.ndarray, lcp: np.ndarray) -> None:
@@ -324,7 +514,7 @@ def _lcp(strings: tuple[bytes, ...], sa: np.ndarray, rank: np.ndarray, lcp: np.n
     top = 0  # i + PLCP[i] at the last position done
     for lo in range(0, n, CHUNK):
         r = rank[lo : lo + CHUNK]
-        i = np.arange(lo, lo + len(r))
+        i = np.arange(lo, lo + len(r), dtype=np.int32)
         phi = sa[r - 1]
         reducible = (r > 0) & (phi > 0) & (codes[i - 1] == codes[phi - 1])
         if not lo:
@@ -391,6 +581,10 @@ class Index:
     indexed byte.  The last row is kept, so that asking for each target
     against one source in turn (as nsd_matrix does) makes one pass per
     source; one index then serves a whole corpus.
+
+    An aligned match array against another string comes from _levels over
+    the two strings' suffixes.  The own past (_own_past) comes from nearest
+    smaller positions; besides the index it holds 16 bytes per target byte.
 
     A target's longest match with all strings but at most one (best) comes
     from a triple of arrays over the index, made on first use: the longest
@@ -485,22 +679,74 @@ class Index:
 
     def _aligned(self, t: int, r: int) -> np.ndarray:
         n = len(self.strings[t])
+        if r == t:
+            return self._own_past(n, t)
         out = np.zeros(n, np.int32)
         if n > 1:
-            def visit(pos, lcp, sid, low, bit):
-                if sid is not None:  # points in the region (sid), queries in the target
-                    low, bit = low & sid, bit & ~sid
-                _nearest(out, pos, lcp, low, bit)
+            def visit(pos, lcp, sid, low, bit):  # points in the region (sid), queries in the target
+                _nearest(out, pos, lcp, low & sid, bit & ~sid)
 
-            pos, lcp, sid = self._gather(t, r, n - 1)
-            _levels(visit, pos, lcp, sid, (n - 1).bit_length() - 1)
+            _levels(visit, *self._gather(t, r, n - 1), (n - 1).bit_length() - 1)
         return out
+
+    def _own_past(self, n: int, t: int) -> np.ndarray:
+        """Match array of strings[t], n long, against its own past, from nearest smaller positions.
+
+        In the suffix-array order of t's suffixes, the longest match at p
+        with a suffix before p is the larger lcp with the nearest element on
+        either side whose position is smaller (Crochemore & Ilie): on one
+        side the sequence, on the other its reversed views.  Each side takes
+        a new _gather, whose pointers _jump moves for at most 2 log2 n
+        rounds; _finish takes the positions left, from the sequence again.
+        Besides the result, a side holds one pointer and one lcp per
+        position, and the positions still moving.
+        """
+        out = np.zeros(n, np.int32)
+        for side in (0, 1):
+            ptr, h = self._chains(t, side)
+            left = _jump(ptr, h, 2 * n.bit_length())
+            del ptr
+            h[left] = 0
+            np.maximum(out, h, out=out)
+            del h
+            if len(left):
+                pos, lcp = _sides(*self._gather(t, t, 0)[:2])[side]
+                mark = np.zeros(n, bool)
+                mark[left] = True
+                e = np.flatnonzero(mark[pos])
+                del mark
+                at = pos[e]
+                out[at] = np.maximum(out[at], _finish(pos, lcp, e))
+                del pos, lcp
+        return out
+
+    def _chains(self, t: int, side: int):
+        """Each position of strings[t] pointing at the one before it in one side's order of its suffixes.
+
+        Returns the pointers (-1 for none) and each pointer's lcp, by
+        position, from the side (see _sides) of _gather's sequence.
+        """
+        pos, lcp = _sides(*self._gather(t, t, 0)[:2])[side]
+        n = len(pos)
+        h = np.empty(n, np.int32)
+        for lo in range(0, n, CHUNK):
+            h[pos[lo : lo + CHUNK]] = lcp[lo : min(lo + CHUNK, n)]
+        del lcp
+        ptr = np.empty(n, np.int32)
+        ptr[pos[0]] = -1
+        for lo in range(1, n, CHUNK):
+            ptr[pos[lo : lo + CHUNK]] = pos[lo - 1 : min(lo + CHUNK, n) - 1]
+        return ptr, h
 
     def best(self, target: int, left_out: int | None = None, whole: bool = False) -> np.ndarray:
         """Longest match of strings[target] with every string but strings[left_out].
 
         Each string's region is its past, or with whole its whole, except that
-        strings[target] always gives its own past; left_out None leaves none out.
+        strings[target]'s region is its own past.  left_out None leaves none
+        out.  left_out = target leaves that own past out: the result is then
+        v2 wherever r1 is the target, which a request without the own past
+        whose sources are all the other strings (such as a `past`-mode one on
+        an index of two strings) relies on.
         """
         if whole not in self._best:
             if self._sa is None:
@@ -586,18 +832,17 @@ class Index:
         return out
 
     def _gather(self, t: int, r: int, limit: int):
-        """Suffixes of the target and those of the region starting before limit.
+        """Suffixes of the target and those of strings[r] starting before limit (none for limit 0).
 
         Returns, in suffix-array order, their positions in their strings,
         the lcp of each with the one before (and a final 0), and whether
-        each is in the region (None for the own past).
+        each is strings[r]'s.
         """
         start_t, start_r = self._starts[t], self._starts[r]
-        own = r == t
-        size = len(self.strings[t]) + (0 if own else min(limit, len(self.strings[r])))
+        size = len(self.strings[t]) + min(limit, len(self.strings[r]))
         pos, lcp = np.empty(size, np.int32), np.zeros(size + 1, np.int32)
         in_t = self._sid == t
-        keep = in_t if own else in_t | (self._sid == r) & (self._sa < start_r + limit)
+        keep = in_t | (self._sid == r) & (self._sa < start_r + limit) if limit else in_t
         at = 0
         for s, w in _since(self._lcp, keep):
             kept = keep[s]
@@ -606,7 +851,7 @@ class Index:
             pos[at:end] = self._sa[s][kept] - np.where(mine, start_t, start_r)
             lcp[at:end] = w[kept]
             at = end
-        return pos, lcp, None if own else ~in_t[keep]
+        return pos, lcp, ~in_t[keep]
 
 
 def _dense(target: bytes, regions: list[tuple[bytes, bool]]) -> np.ndarray:

@@ -63,3 +63,26 @@ def find_references(target: bytes, context: Context, lengths) -> list[tuple[int,
                     break
         t += length
     return out
+
+
+def longest_previous(target: bytes) -> list[int]:
+    """Longest match at each position q with a start p < q (it may overlap q), by bytes.find.
+
+    A length occurs before q when bytes.find finds the target's bytes from q
+    at a start below q; every shorter length then does too, so the longest is
+    found by doubling, then halving, the length.  Fast enough for some kB.
+    """
+    out = []
+    for q in range(len(target)):
+        def occurs(k):
+            return target.find(target[q : q + k], 0, q - 1 + k) >= 0
+
+        lo, hi = 0, 1  # occurs(lo); hi untested
+        while q + hi <= len(target) and occurs(hi):
+            lo, hi = hi, 2 * hi
+        hi = min(hi, len(target) - q + 1)  # does not occur, or runs past the end
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if occurs(mid) else (lo, mid)
+        out.append(lo)
+    return out

@@ -684,7 +684,8 @@ def _random_strings(seed, count, length):
 
 @pytest.mark.parametrize("command, corpus, message", [
     (["nsd"], {"x": b"ab", "y": SAMPLE["alpha"]},
-     "strings shorter than 3 bytes can never be matched; the distance is positive even for equal inputs"),
+     "strings shorter than 3 bytes can never be matched: "
+     "equal 2-byte strings are at a positive distance, and any two 1-byte strings at 0"),
     # two unrelated random strings: each term gains a little from the other, and threshold 0 keeps both edges
     (["causality", "--threshold", "0"], dict(zip("xy", _random_strings(0, 2, 300))),
      "extracted graph contains a cycle"),

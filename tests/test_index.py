@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import find_references, naive_factorize
+from oracle import find_references, longest_previous, naive_factorize
 from salza import DagSpec, StringSet, generate_dag_processes, index
 from salza.directed import directed_info_matrix
 from salza.estimators import conditional_complexity, joint_complexity, meaningful_cutoff, nsd, nsd_matrix
@@ -149,6 +149,20 @@ def test_short_input_warning_points_at_the_caller():
         assert [w.filename for w in caught] == [__file__]
 
 
+SHORT_INPUT = ("strings shorter than 3 bytes can never be matched: "
+               "equal 2-byte strings are at a positive distance, and any two 1-byte strings at 0")
+
+
+@pytest.mark.parametrize("x, y, value",
+                         [(b"a", b"a", 0.0), (b"a", b"b", 0.0), (b"ab", b"ab", 0.25), (b"aa", b"aa", 0.25)])
+def test_short_input_warning_states_what_holds(x, y, value):
+    # a parse of one symbol estimates 0; a 2-byte one, two literals, does not
+    for call in (lambda: nsd(x, y), lambda: float(nsd_matrix([x, y])[0, 1])):
+        with pytest.warns(UserWarning) as caught:
+            assert call() == value
+        assert [str(w.message) for w in caught] == [SHORT_INPUT]
+
+
 def test_nsd_matrix_builds_one_index():
     strings = _nsd_corpus()
     with mock.patch.object(index, "DENSE_CELLS", 0), \
@@ -197,18 +211,44 @@ SPARE_BITS = [None, 0, 1, 3]
 def test_suffix_array_in_blocks_sorts_suffixes(spare_bits, chunk):
     # with few spare key bits each doubling round sorts many small blocks
     rng = np.random.default_rng(8)
+    sets = []
     for trial in range(60):
         alpha = int(rng.integers(1, 5))
         strings = [rng.integers(0, alpha, int(rng.integers(1, 60)), dtype=np.uint8).tobytes()
                    for _ in range(int(rng.integers(1, 4)))]
-        strings = tuple(strings + strings[:1])  # equal strings tie until their separators
-        codes = index._codes(strings, np.int32).tolist()
+        sets.append(tuple(strings + strings[:1]))  # equal strings tie until their separators
+    # one group longer than a chunk, sorted in place round after round; and
+    # a binary pair sharing a block longer than a chunk, its pairs of
+    # suffixes gathered round after round
+    size = 2 * chunk + 50
+    block = rng.integers(0, 2, chunk + 100, dtype=np.uint8).tobytes()
+    noise = [rng.integers(0, 2, 30, dtype=np.uint8).tobytes() for _ in range(3)]
+    sets += [(b"a" * size,), ((b"abc" * size)[:size],), (noise[0] + block + noise[1], noise[2] + block)]
+    for strings in sets:
+        codes = index._codes(strings, np.int32)
         n = len(codes)
         bits = index.KEY_BITS if spare_bits is None else n.bit_length() + (n - 1).bit_length() + spare_bits
         with mock.patch.object(index, "KEY_BITS", bits), mock.patch.object(index, "CHUNK", chunk):
             halves, rank = index._suffix_array(strings)
-        assert halves[:n].tolist() == sorted(range(n), key=lambda i: codes[i:])
-        assert rank.tolist() == np.argsort(halves[:n]).tolist()
+        if n < 500:
+            c = codes.tolist()
+            assert halves[:n].tolist() == sorted(range(n), key=lambda i: c[i:])
+        _assert_suffix_array(codes, halves[:n], rank)
+
+
+def _assert_suffix_array(codes, sa, rank):
+    """sa is a permutation whose neighbours are in order by their first code, then by the suffixes after it.
+
+    With rank its inverse, that holds of the suffix array alone (Burkhardt &
+    Kärkkäinen's check); the suffix after the last has rank -1.
+    """
+    n = len(codes)
+    assert np.array_equal(np.sort(sa), np.arange(n))
+    inv = np.full(n + 1, -1)
+    inv[sa] = np.arange(n)
+    a, b = sa[:-1].astype(np.int64), sa[1:].astype(np.int64)
+    assert np.all((codes[a] < codes[b]) | (codes[a] == codes[b]) & (inv[a + 1] < inv[b + 1]))
+    assert np.array_equal(rank, inv[:n])
 
 
 def test_suffix_array_longer_than_a_chunk_in_one_group_blocks():
@@ -367,6 +407,73 @@ def test_all_pairs_sweep_equals_per_pair_arrays(chunk):
             last = m - 1
             for whole in (False, True):
                 assert sweep.matches(0, last, whole).tolist() == pairs.matches(0, last, whole).tolist()
+
+
+def _own_past_inputs(rng, size):
+    """Strings of about size bytes whose nearest smaller positions lie far along chains of pointers."""
+    fib = [b"a", b"b"]
+    while len(fib[-1]) < size:
+        fib.append(fib[-1] + fib[-2])
+    half = rng.integers(0, 4, size // 2, dtype=np.uint8)
+    copy = half.copy()
+    copy[rng.choice(len(half), len(half) // 200, replace=False)] ^= 1  # 0.5% apart
+    return {
+        "unary": b"a" * size,
+        "period-3": (b"abc" * size)[:size],
+        "period-7": (b"abcdefg" * size)[:size],
+        "fibonacci": fib[-1][:size],
+        "b-then-a": b"b" + b"a" * size,
+        "repeated-block": rng.integers(0, 2, 100, dtype=np.uint8).tobytes() * (size // 100),
+        "near-copies": half.tobytes() + copy.tobytes(),
+    }
+
+
+@pytest.mark.parametrize("chunk", [index.CHUNK, 3])
+def test_own_past_equals_oracle(chunk):
+    rng = np.random.default_rng(25)
+    other = rng.integers(0, 4, 500, dtype=np.uint8).tobytes()
+    for name, s in _own_past_inputs(rng, 3000 if chunk == index.CHUNK else 700).items():
+        want = longest_previous(s)
+        # alone, and among other strings that share its suffixes
+        for idx in (index.Index([s]), index.Index([other, s, s[: len(s) // 2]])):
+            idx._build()  # CHUNK = 3 builds are tested above
+            t = idx.id(s)
+            with mock.patch.object(index, "CHUNK", chunk):
+                assert idx.matches(t, t, whole=False).tolist() == want, name
+
+
+def test_own_past_finishes_what_the_capped_rounds_leave():
+    # a pointer whose own pointer is final moves one element a round; on a
+    # repeated block many do, for longer than the rounds allowed
+    s = np.random.default_rng(27).integers(0, 2, 100, dtype=np.uint8).tobytes() * 40
+    with mock.patch.object(index, "_finish", wraps=index._finish) as finish:
+        got = index.Index([s]).matches(0, 0, whole=False)
+    assert finish.call_count >= 1 and len(finish.call_args.args[2]) > 0
+    assert got.tolist() == longest_previous(s)
+
+
+def _naive_finish(pos, lcp, e):
+    """lcp of each element e with the nearest earlier element of smaller position: the minimum of lcp since it."""
+    out = []
+    for k in e:
+        j = max((j for j in range(k) if pos[j] < pos[k]), default=None)
+        out.append(0 if j is None else int(lcp[j + 1 : k + 1].min()))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [index.CHUNK, 3])
+def test_finish_equals_a_loop(chunk):
+    rng = np.random.default_rng(26)
+    with mock.patch.object(index, "CHUNK", chunk):
+        for n in [1, 2, 3, 5, 8, 13, 33, 64, 100, 257, 600] * 3:
+            order = rng.choice(["random", "ascending", "descending", "saw"])
+            pos = {"random": rng.permutation(n), "ascending": np.arange(n), "descending": np.arange(n)[::-1],
+                   "saw": (np.arange(n) % 7) * n + np.arange(n)}[order].astype(np.int32)
+            lcp = rng.integers(0, 6, n + 1).astype(np.int32)
+            lcp[0] = lcp[n] = 0
+            for p, h in index._sides(pos, lcp):
+                e = np.flatnonzero(rng.random(n) < rng.choice([0.1, 0.5, 1.0]))
+                assert index._finish(p, h, e).tolist() == _naive_finish(p, h, e), (order, n)
 
 
 def _unequal_dag_strings():

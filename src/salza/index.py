@@ -227,16 +227,16 @@ def _levels(visit, pos, lcp, sid, b: int) -> None:
 
 
 def _jump(ptr: np.ndarray, h: np.ndarray, rounds: int) -> np.ndarray:
-    """Move each position's pointer to the nearest smaller position before it, in at most rounds rounds.
+    """Move each position's pointer to the nearest suffix before it, on its side, of smaller position.
 
-    ptr[p] is a position whose suffix comes before p's in some order, every
-    suffix between them having a position not below p, and h[p] is the lcp
-    over them; ptr -1 (h 0) is none.  While ptr[p] > p and h[p] > 0, p
-    takes its pointer's pointer and the smaller h: then ptr[p] < p, and
-    h[p] is the lcp with it, or h[p] is 0.  Pointers whose own pointers
-    are final move one element a round, so rounds bounds them.  The active
-    positions are moved CHUNK at a time and packed into one int32 array;
-    returns those left.
+    ptr[p] is a position whose suffix comes before p's on this side, with
+    every suffix between them at a position not below p, and h[p] is the
+    lcp of the two suffixes; ptr -1 with h 0 is none.  While ptr[p] > p and
+    h[p] > 0, p takes its pointer's pointer and the smaller h: then h[p] is
+    the lcp with the nearest smaller position, or 0 where no match reaches
+    past the pointer.  A pointer whose own pointer is final moves one suffix
+    a round, so at most rounds rounds run.  The moving positions go CHUNK at
+    a time, packed into one int32 array; returns those left.
     """
     n = len(ptr)
     todo, size = np.empty(n, np.int32), 0
@@ -702,7 +702,7 @@ class Index:
         position, and the positions still moving.
         """
         out = np.zeros(n, np.int32)
-        for side in (0, 1):
+        for side in (0, 1) if n > 1 else ():
             ptr, h = self._chains(t, side)
             left = _jump(ptr, h, 2 * n.bit_length())
             del ptr

@@ -418,6 +418,8 @@ def _own_past_inputs(rng, size):
     copy = half.copy()
     copy[rng.choice(len(half), len(half) // 200, replace=False)] ^= 1  # 0.5% apart
     return {
+        "empty": b"",
+        "one-byte": b"a",
         "unary": b"a" * size,
         "period-3": (b"abc" * size)[:size],
         "period-7": (b"abcdefg" * size)[:size],

@@ -444,26 +444,46 @@ def _sort_gathered(rank, head, key, at: np.ndarray, k: int, ib: int) -> None:
 def _sort_groups(rank, head, key, at, k: int, ib: int) -> None:
     """Sort the keys of whole groups by group, then the rank k further on, and settle them.
 
-    at is the keys' slots: ascending, or the first of a run.  Each group's
-    ordinal among them goes above the rank; where the ordinals do not fit
-    in KEY_BITS, the keys are sorted in pieces of whole groups.
+    at is the keys' slots: ascending, or the first of a run.  More than
+    CHUNK keys are one group.  Of fewer, where less than half of them are
+    in groups that the ranks k further on split, only those groups are
+    sorted.  Each group's ordinal among the keys goes above the rank; where
+    the ordinals do not fit in KEY_BITS, the keys are sorted in pieces of
+    whole groups.
     """
     span = 1 << (KEY_BITS - 2 * ib)  # groups whose ordinals fit above rank and suffix
-    firsts = head[at] if isinstance(at, np.ndarray) else head[at : at + len(key)]
-    count = 0
-    for lo in range(0, len(key), CHUNK):
-        part = key[lo : lo + CHUNK]
-        i = part & ((1 << ib) - 1)
-        g = np.cumsum(firsts[lo : lo + CHUNK], dtype=np.int64)
-        g += count - 1
-        count = int(g[-1]) + 1
+    gathered = isinstance(at, np.ndarray)
+    firsts = head[at] if gathered else head[at : at + len(key)]
+    if len(key) > CHUNK:
+        for lo in range(0, len(key), CHUNK):
+            part = key[lo : lo + CHUNK]
+            i = part & ((1 << ib) - 1)
+            part[:] = rank[i + k]  # every suffix of an open group has one k further on
+            part <<= ib
+            part |= i
+            del i
+    else:
+        i = key & ((1 << ib) - 1)
+        r = rank.take(i + k, mode="clip")  # a singleton, alone in its group, may have none
+        g = np.cumsum(firsts, dtype=np.int64)
+        g -= 1
+        split = np.zeros(int(g[-1]) + 1, bool)
+        split[g[1:][(r[1:] != r[:-1]) & ~firsts[1:]]] = True
+        moved = split[g]
+        if 2 * np.count_nonzero(moved) < len(key):
+            moved = np.flatnonzero(moved)
+            if len(moved):
+                part = key[moved]
+                _sort_groups(rank, head, part, (at if gathered else np.arange(at, at + len(key)))[moved], k, ib)
+                key[moved] = part
+            return
         g &= span - 1
         g <<= ib
-        g += rank.take(i + k, mode="clip")  # a singleton, alone in its group, may have none
+        g += r
         g <<= ib
         g |= i
-        part[:] = g
-        del i, g
+        key[:] = g
+        del i, r, g
     pieces = np.flatnonzero(firsts)[::span].tolist()
     for lo, hi in zip(pieces, pieces[1:] + [len(key)]):
         key[lo:hi].sort()

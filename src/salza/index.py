@@ -444,47 +444,27 @@ def _sort_gathered(rank, head, key, at: np.ndarray, k: int, ib: int) -> None:
 def _sort_groups(rank, head, key, at, k: int, ib: int) -> None:
     """Sort the keys of whole groups by group, then the rank k further on, and settle them.
 
-    at is the keys' slots: ascending, or the first of a run.  More than
-    CHUNK keys are one group.  Of fewer, where less than half of them are
-    in groups that the ranks k further on split, only those groups are
-    sorted.  Each group's ordinal among the keys goes above the rank; where
-    the ordinals do not fit in KEY_BITS, the keys are sorted in pieces of
-    whole groups.
+    at is the keys' slots: ascending, or the first of a run.  Each group's
+    ordinal among them goes above the rank; where the ordinals do not fit
+    in KEY_BITS, the keys are sorted in pieces of whole groups.
     """
     span = 1 << (KEY_BITS - 2 * ib)  # groups whose ordinals fit above rank and suffix
-    gathered = isinstance(at, np.ndarray)
-    firsts = head[at] if gathered else head[at : at + len(key)]
-    if len(key) > CHUNK:
-        for lo in range(0, len(key), CHUNK):
-            part = key[lo : lo + CHUNK]
-            i = part & ((1 << ib) - 1)
-            part[:] = rank[i + k]  # every suffix of an open group has one k further on
-            part <<= ib
-            part |= i
-            del i
-    else:
-        i = key & ((1 << ib) - 1)
-        r = rank.take(i + k, mode="clip")  # a singleton, alone in its group, may have none
-        g = np.cumsum(firsts, dtype=np.int64)
-        g -= 1
-        split = np.zeros(int(g[-1]) + 1, bool)
-        split[g[1:][(r[1:] != r[:-1]) & ~firsts[1:]]] = True
-        moved = split[g]
-        if 2 * np.count_nonzero(moved) < len(key):
-            moved = np.flatnonzero(moved)
-            if len(moved):
-                part = key[moved]
-                _sort_groups(rank, head, part, (at if gathered else np.arange(at, at + len(key)))[moved], k, ib)
-                key[moved] = part
-            return
+    firsts = head[at] if isinstance(at, np.ndarray) else head[at : at + len(key)]
+    count = 0
+    for lo in range(0, len(key), CHUNK):
+        part = key[lo : lo + CHUNK]
+        i = part & ((1 << ib) - 1)
+        g = np.cumsum(firsts[lo : lo + CHUNK], dtype=np.int64)
+        g += count - 1
+        count = int(g[-1]) + 1
         g &= span - 1
         g <<= ib
-        g += r
+        g += rank.take(i + k, mode="clip")  # a singleton, alone in its group, may have none
         g <<= ib
         g |= i
-        key[:] = g
-        del i, r, g
-    pieces = np.flatnonzero(firsts)[::span].tolist()
+        part[:] = g
+        del i, g
+    pieces = np.flatnonzero(firsts)[::span].tolist() if count > span else [0]
     for lo, hi in zip(pieces, pieces[1:] + [len(key)]):
         key[lo:hi].sort()
     _settle(rank, head, key, at, ib)
@@ -534,7 +514,7 @@ def _lcp(strings: tuple[bytes, ...], sa: np.ndarray, rank: np.ndarray, lcp: np.n
     top = 0  # i + PLCP[i] at the last position done
     for lo in range(0, n, CHUNK):
         r = rank[lo : lo + CHUNK]
-        i = np.arange(lo, lo + len(r), dtype=np.int32)
+        i = np.arange(lo, lo + len(r))
         phi = sa[r - 1]
         reducible = (r > 0) & (phi > 0) & (codes[i - 1] == codes[phi - 1])
         if not lo:

@@ -391,7 +391,7 @@ def _pack(key: np.ndarray, w: int, shift: int, drop: int = 0) -> None:
         part = key[lo : lo + CHUNK]
         ahead = key[lo + w : lo + w + len(part)] >> drop
         part <<= shift
-        part[: len(ahead)] |= ahead
+        part[: len(ahead)] += ahead  # below the shifted bits
 
 
 def _refine(rank, head, key, k: int, ib: int) -> bool:
@@ -403,20 +403,21 @@ def _refine(rank, head, key, k: int, ib: int) -> bool:
     slots at a time.  A group may see ranks that an earlier one of the
     round already refined, which orders no two suffixes wrongly.
     """
-    found, batch, size = False, np.empty(CHUNK, np.int32), 0
+    found, batch, size = False, np.empty(CHUNK, np.int64), 0
     for a, b in _windows(head):
-        slots = np.flatnonzero(~(head[a:b] & head[a + 1 : b + 1])) if b - a <= CHUNK else None
-        if slots is None or 2 * len(slots) >= b - a:  # one longer group, or mostly open
+        open_ = ~(head[a:b] & head[a + 1 : b + 1]) if b - a <= CHUNK else None
+        count = b - a if open_ is None else int(np.count_nonzero(open_))
+        if 2 * count >= b - a:  # one longer group, or mostly open
             _sort_groups(rank, head, key[a:b], a, k, ib)
             found = True
             continue
-        if size + len(slots) > CHUNK:
+        if size + count > CHUNK:
             _sort_gathered(rank, head, key, batch[:size], k, ib)
             size = 0
-        batch[size : size + len(slots)] = slots
-        batch[size : size + len(slots)] += a
-        size += len(slots)
-        found |= len(slots) > 0
+        batch[size : size + count] = np.flatnonzero(open_)
+        batch[size : size + count] += a
+        size += count
+        found |= count > 0
     if size:
         _sort_gathered(rank, head, key, batch[:size], k, ib)
     return found
@@ -459,9 +460,11 @@ def _sort_groups(rank, head, key, at, k: int, ib: int) -> None:
         count = int(g[-1]) + 1
         g &= span - 1
         g <<= ib
-        g += rank.take(i + k, mode="clip")  # a singleton, alone in its group, may have none
+        i += k
+        g += rank.take(i, mode="clip")  # a singleton, alone in its group, may have none
+        i -= k
         g <<= ib
-        g |= i
+        g += i
         part[:] = g
         del i, g
     pieces = np.flatnonzero(firsts)[::span].tolist() if count > span else [0]
@@ -482,7 +485,7 @@ def _settle(rank, head, key, at, ib: int) -> None:
             slot = at[lo : lo + CHUNK]
             new = head[slot]
         else:
-            slot = np.arange(at + lo, at + lo + len(part), dtype=np.int32)
+            slot = np.arange(at + lo, at + lo + len(part))
             new = head[at + lo : at + lo + len(part)]  # a view: set in place
         group = part >> ib
         new[0] |= group[0] != last

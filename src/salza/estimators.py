@@ -20,6 +20,7 @@ length array in one call, and the sums run over it in order.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -51,7 +52,7 @@ class AdmissibleFunction:
             raise ValueError(f"unknown admissible function kind: {self.kind}")
         if isinstance(self.table, Mapping):
             object.__setattr__(self, "table", tuple(sorted(self.table.items())))
-        if self.l0 is not None and not 0.0 <= self.l0 < math.inf:
+        if self.l0 is not None and not (isinstance(self.l0, numbers.Real) and 0.0 <= self.l0 < math.inf):
             raise ValueError(f"cutoff l0 must be a finite number >= 0, not {self.l0!r}")
         if self.kind == "table" and not self.table:
             raise ValueError("a table function needs a non-empty table")
@@ -135,11 +136,16 @@ def estimate_from_lengths(lengths: np.ndarray | Sequence[int], n: int, f: Admiss
 
     An integer array, such as Factorization.lengths, is read as it is.
     The sums run in order (cumsum, not numpy's pairwise sum), so they equal
-    a left-to-right loop bit for bit.
+    a left-to-right loop bit for bit.  The lengths must be at least 1 and
+    at most n in sum, so that both factors lie in [0, 1].
     """
     lengths = np.asarray(lengths)
     if lengths.size == 0:
         raise ValueError("no symbol lengths")
+    if lengths.min() < 1:
+        raise ValueError(f"symbol lengths must be at least 1, not {lengths.min()}")
+    if lengths.sum(dtype=np.int64) > n:
+        raise ValueError(f"symbol lengths sum to {lengths.sum(dtype=np.int64)}, past the target length {n}")
     w = f.weights(lengths)
     fsum = w.cumsum()[-1]
     wsum = (lengths * w).cumsum()[-1]
@@ -177,7 +183,7 @@ def joint_complexity(x: bytes, y: bytes, f: AdmissibleFunction | None = None) ->
     x, y = bytes(x), bytes(y)
     ax = len(set(x))
     if ax < 2:
-        raise ValueError("undefined log base")
+        raise ValueError("undefined log base" if x else "empty input")
     cond = conditional_complexity(y, Context((x,), Mode.PAST_AND_SOURCES), f)
     alone = simple_complexity(x, f)
     return cond.value + alone.value + math.log(len(x) / len(y), ax)

@@ -7,12 +7,12 @@ target's own past when the region is the target).  A generalized suffix
 array with its LCP array gives them in O(N log N) vectorized work; inputs
 too small to pay for it take a dense kernel instead.
 
-The kernels over the suffix array but one rest on one scan, _since: each
+The kernels over the suffix array rest on one scan, _since: each
 element's match with the last marked element before it, the running
 minimum of the LCP since the mark, carried across CHUNK-sized pieces.  The
-scan down the sequence is the same scan up its reversed views.  The own
-past instead takes each suffix's nearest earlier and later suffixes of
-smaller position, by pointer jumping (_jump).
+scan down the sequence is the same scan up its reversed views.  An aligned
+past, the own or another string's, finds the nearest region suffixes that
+start earlier by pointer jumping (_jump).
 
 A reference's region and leftmost start both come from one minimum over
 the run of the suffix array that shares its match (Index.leftmost), for
@@ -21,7 +21,7 @@ every input: the dense kernel gives only the match lengths.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import reduce
 from itertools import accumulate
 
 import numpy as np
@@ -120,20 +120,6 @@ def _run_starts(lcp: np.ndarray, rank: np.ndarray, length: np.ndarray) -> np.nda
     return lo
 
 
-def _nearest(out, pos, lcp, points, queries) -> None:
-    """Raise out[pos[q]] to each query's longest match with any point: the nearest on either side.
-
-    points and queries are masks over the sequence.  The nearest point
-    before a query comes from _since up the sequence, the nearest after it
-    from _since up the reversed views.
-    """
-    for pos, lcp, points, queries in _sides(pos, lcp, points, queries):
-        for s, w in _since(lcp, points):
-            q = queries[s]
-            at = pos[s][q]
-            out[at] = np.maximum(out[at], w[q])
-
-
 def _nearest_regions(best, starts, pos, lcp, sid, points, queries) -> None:
     """Merge into best, at starts[sid] + pos, each query's longest match with the points, by string.
 
@@ -184,26 +170,23 @@ def _child_lcp(lcp: np.ndarray, bit: np.ndarray, low: np.ndarray) -> None:
         lcp[s] = np.where(bit[s], ones, zeros)
 
 
-def _levels(visit, pos, lcp, sid, b: int) -> None:
-    """Run visit at every level of a sequence one block above bit b, from the top.
+def _levels(best, starts, pos, lcp, sid, b: int) -> None:
+    """Merge into best every suffix's matches with the suffixes at smaller positions, level by level from bit b.
 
     The sequence holds suffixes in suffix-array order: pos their positions
-    in their strings, and sid their strings or whether each is a region's.
-    A pair p < q of positions first differs in one bit, where p has 0 and q
-    has 1.
-    Going down from the top bit b, the elements stay in blocks of equal
-    position >> (b + 1), each in suffix-array order, and at bit b
-    visit(pos, lcp, sid, low, bit) matches the points, with bit b clear
-    (low), with the queries, with it set (bit): a nearest pass there finds
-    each query's longest match with the suffixes at a smaller position.  A
-    child block's lcp is the running minimum over its parent's.  A large
-    block is split in place, so that its halves are views; smaller ones are
-    reordered together.  The arrays are overwritten.
+    in their strings, sid their strings.  A pair p < q of positions first
+    differs in one bit, where p has 0 and q has 1.  Going down from the top
+    bit b, the elements stay in blocks of equal position >> (b + 1), each in
+    suffix-array order, and at bit b _nearest_regions matches the points,
+    with bit b clear (low), with the queries, with it set (bit).  A child
+    block's lcp is the running minimum over its parent's.  A large block is
+    split in place, so that its halves are views; smaller ones are reordered
+    together.  The arrays are overwritten.
     """
     while True:
         bit = np.concatenate([pos[lo : lo + CHUNK] >> b & 1 == 1 for lo in range(0, len(pos), CHUNK)])
         low = ~bit
-        visit(pos, lcp, sid, low, bit)
+        _nearest_regions(best, starts, pos, lcp, sid, low, bit)
         if b == 0:
             return
         _child_lcp(lcp, bit, low)
@@ -219,7 +202,7 @@ def _levels(visit, pos, lcp, sid, b: int) -> None:
             del bit, low, tail
             for lo, hi in ((0, zeros), (zeros, len(pos))):
                 if hi > lo:
-                    _levels(visit, pos[lo:hi], lcp[lo : hi + 1], sid[lo:hi], b)
+                    _levels(best, starts, pos[lo:hi], lcp[lo : hi + 1], sid[lo:hi], b)
             return
         order = np.argsort(pos >> (b + 1), kind="stable")
         for a in arrays:
@@ -227,16 +210,17 @@ def _levels(visit, pos, lcp, sid, b: int) -> None:
 
 
 def _jump(ptr: np.ndarray, h: np.ndarray, rounds: int) -> np.ndarray:
-    """Move each position's pointer to the nearest suffix before it, on its side, of smaller position.
+    """Move each suffix's pointer to the nearest suffix before it, on its side, of smaller id.
 
-    ptr[p] is a position whose suffix comes before p's on this side, with
-    every suffix between them at a position not below p, and h[p] is the
-    lcp of the two suffixes; ptr -1 with h 0 is none.  While ptr[p] > p and
-    h[p] > 0, p takes its pointer's pointer and the smaller h: then h[p] is
-    the lcp with the nearest smaller position, or 0 where no match reaches
-    past the pointer.  A pointer whose own pointer is final moves one suffix
-    a round, so at most rounds rounds run.  The moving positions go CHUNK at
-    a time, packed into one int32 array; returns those left.
+    Suffixes are named by id, and only some are ever pointed at.  ptr[p] is
+    a suffix that comes before p's on this side, with every suffix pointed
+    at between them of an id not below p, and h[p] is the lcp of the two
+    suffixes; ptr -1 with h 0 is none.  While ptr[p] > p and h[p] > 0, p
+    takes its pointer's pointer and the smaller h: then h[p] is the lcp with
+    the nearest smaller id, or 0 where no match reaches past the pointer.  A
+    pointer whose own pointer is final moves one suffix a round, so at most
+    rounds rounds run.  The moving suffixes go CHUNK at a time, packed into
+    one int32 array; returns those left.
     """
     n = len(ptr)
     todo, size = np.empty(n, np.int32), 0
@@ -263,14 +247,14 @@ def _jump(ptr: np.ndarray, h: np.ndarray, rounds: int) -> np.ndarray:
     return todo[:size].copy()
 
 
-def _finish(pos: np.ndarray, lcp: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """lcp of each element e (ascending) with the nearest earlier one of smaller position, 0 if none.
+def _finish(pos: np.ndarray, lcp: np.ndarray, e: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """lcp of each element e (ascending) with the nearest earlier one whose pos is below e's threshold, 0 if none.
 
-    Over aligned blocks of doubling size 2s, from s = 1: an element in a
-    block's right half with no answer yet has none in that half, so its
-    answer is the last element of the left half below its position, if
-    any: the last whose suffix minimum of position there is below it,
-    found for all blocks by one searchsorted.  Its lcp is the smaller of
+    below holds the thresholds.  Over aligned blocks of doubling size 2s,
+    from s = 1: an element in a block's right half with no answer yet has
+    none in that half, so its answer is the last element of the left half
+    below its threshold, if any: the last whose suffix minimum of pos there
+    is below it, found for all blocks by one searchsorted.  Its lcp is the smaller of
     the lcp minima from there to the left half's end and from the right
     half's start to the element.  Each level reads each block holding such
     an element once: O(n log n) in all.  Blocks are read CHUNK positions at
@@ -285,7 +269,7 @@ def _finish(pos: np.ndarray, lcp: np.ndarray, e: np.ndarray) -> np.ndarray:
         for lo in range(0, len(blocks), per):
             at = blocks[lo : lo + per]
             mine = slice(*np.searchsorted(which, [lo, lo + per]))
-            row, x = which[mine] - lo, -pos[q[mine]]
+            row, x = which[mine] - lo, -below[look[mine]]
             # minus the suffix minima of position, from the half's end: ascending
             low = np.minimum.accumulate(_rows(pos, at, s)[:, ::-1], axis=1)
             np.negative(low, out=low)
@@ -585,9 +569,10 @@ class Index:
     against one source in turn (as nsd_matrix does) makes one pass per
     source; one index then serves a whole corpus.
 
-    An aligned match array against another string comes from _levels over
-    the two strings' suffixes.  The own past (_own_past) comes from nearest
-    smaller positions; besides the index it holds 16 bytes per target byte.
+    An aligned match array, against the own past or another string's past,
+    comes from nearest smaller ids (_aligned).  Besides the index it holds
+    16 bytes per target byte for the own past, and against another string
+    13 per suffix it gathers plus 4 per target byte.
 
     A target's longest match with all strings but at most one (best) comes
     from a triple of arrays over the index, made on first use: the longest
@@ -681,64 +666,65 @@ class Index:
         return out
 
     def _aligned(self, t: int, r: int) -> np.ndarray:
-        n = len(self.strings[t])
-        if r == t:
-            return self._own_past(n, t)
-        out = np.zeros(n, np.int32)
-        if n > 1:
-            def visit(pos, lcp, sid, low, bit):  # points in the region (sid), queries in the target
-                _nearest(out, pos, lcp, low & sid, bit & ~sid)
+        """Match array of strings[t] against the past of strings[r], from nearest smaller ids.
 
-            _levels(visit, *self._gather(t, r, n - 1), (n - 1).bit_length() - 1)
-        return out
-
-    def _own_past(self, n: int, t: int) -> np.ndarray:
-        """Match array of strings[t], n long, against its own past, from nearest smaller positions.
-
-        In the suffix-array order of t's suffixes, the longest match at p
-        with a suffix before p is the larger lcp with the nearest element on
-        either side whose position is smaller (Crochemore & Ilie): on one
-        side the sequence, on the other its reversed views.  Each side takes
-        a new _gather, whose pointers _jump moves for at most 2 log2 n
-        rounds; _finish takes the positions left, from the sequence again.
-        Besides the result, a side holds one pointer and one lcp per
-        position, and the positions still moving.
+        With the suffixes numbered in time order (_gather), the longest match
+        at p is the larger lcp with the nearest region suffix of smaller id
+        on either side (Crochemore & Ilie): on one side the sequence, on the
+        other its reversed views.  A side points each suffix at the nearest
+        region suffix before it (_chains); _jump moves the pointers for at
+        most 2 log2 rounds, and _finish takes the target's suffixes left.  No
+        target suffix is pointed at, so a query follows only region suffixes'
+        chains, each skipping only region suffixes of larger id.
         """
+        n = len(self.strings[t])
         out = np.zeros(n, np.int32)
         for side in (0, 1) if n > 1 else ():
-            ptr, h = self._chains(t, side)
-            left = _jump(ptr, h, 2 * n.bit_length())
+            ptr, h = self._chains(t, r, side)
+            L = len(ptr) - n
+            left = _jump(ptr, h, 2 * len(ptr).bit_length())
             del ptr
             h[left] = 0
-            np.maximum(out, h, out=out)
+            # the target's ids: 2p below L, p + L from there
+            np.maximum(out[:L], h[: 2 * L : 2], out=out[:L])
+            np.maximum(out[L:], h[2 * L :], out=out[L:])
             del h
+            left = left[(left >= 2 * L) | (left % 2 == 0)]
             if len(left):
-                pos, lcp = _sides(*self._gather(t, t, 0)[:2])[side]
-                mark = np.zeros(n, bool)
+                ids, lcp, region = _sides(*self._gather(t, r))[side]
+                mark = np.zeros(n + L, bool)
                 mark[left] = True
-                e = np.flatnonzero(mark[pos])
-                del mark
-                at = pos[e]
-                out[at] = np.maximum(out[at], _finish(pos, lcp, e))
-                del pos, lcp
+                e = np.flatnonzero(mark[ids])
+                below = ids[e]
+                ids[~region] = _INF  # below no threshold: a target suffix is never the answer
+                del mark, left, region
+                got = _finish(ids, lcp, e, below)
+                np.maximum.at(out, below - np.minimum(below // 2, L), got)  # at the ids' target positions
+                del ids, lcp, e, below, got
         return out
 
-    def _chains(self, t: int, side: int):
-        """Each position of strings[t] pointing at the one before it in one side's order of its suffixes.
+    def _chains(self, t: int, r: int, side: int):
+        """Each suffix of one side (see _sides) of _gather(t, r) pointing at the nearest region suffix before it.
 
-        Returns the pointers (-1 for none) and each pointer's lcp, by
-        position, from the side (see _sides) of _gather's sequence.
+        Returns the pointers (-1 for none) and the lcp since each, by id: in
+        the own past each suffix's neighbour, otherwise _since's with the
+        region's suffixes as the marks.
         """
-        pos, lcp = _sides(*self._gather(t, t, 0)[:2])[side]
-        n = len(pos)
-        h = np.empty(n, np.int32)
-        for lo in range(0, n, CHUNK):
-            h[pos[lo : lo + CHUNK]] = lcp[lo : min(lo + CHUNK, n)]
-        del lcp
-        ptr = np.empty(n, np.int32)
-        ptr[pos[0]] = -1
-        for lo in range(1, n, CHUNK):
-            ptr[pos[lo : lo + CHUNK]] = pos[lo - 1 : min(lo + CHUNK, n) - 1]
+        ids, lcp, region = _sides(*self._gather(t, r))[side]
+        size = len(ids)
+        h = np.empty(size, np.int32)
+        # the own past points each suffix at its neighbour, so the lcp since it is lcp itself
+        own = ((slice(lo, lo + CHUNK), lcp[lo : min(lo + CHUNK, size)]) for lo in range(0, size, CHUNK))
+        for s, w in own if r == t else _since(lcp, region):
+            h[ids[s]] = w
+        del lcp, w  # w may be a view of lcp
+        ptr, last = np.empty(size, np.int32), np.full(1, -1, np.int32)
+        for lo in range(0, size, CHUNK):
+            part, here = ids[lo : lo + CHUNK], region[lo : lo + CHUNK]
+            # the id of the last region suffix before the chunk, then those of the chunk's
+            seen = np.concatenate((last, part if r == t else part[here]))
+            ptr[part] = seen[:-1] if r == t else seen[np.cumsum(here, dtype=np.int32) - here]
+            last[0] = seen[-1]
         return ptr, h
 
     def best(self, target: int, left_out: int | None = None, whole: bool = False) -> np.ndarray:
@@ -771,7 +757,7 @@ class Index:
             pos[lo : lo + CHUNK] -= self._starts[sid[lo : lo + CHUNK]]
         longest = max(map(len, self.strings))
         if longest > 1:
-            _levels(partial(_nearest_regions, best, self._starts), pos, lcp, sid, (longest - 1).bit_length() - 1)
+            _levels(best, self._starts, pos, lcp, sid, (longest - 1).bit_length() - 1)
 
     def _merge_rows(self, best) -> None:
         """Merge into best (see the class) each string's row, its own positions holding its own past."""
@@ -834,27 +820,30 @@ class Index:
             out[k] = np.minimum(out[k], np.minimum.reduceat(key, heads))
         return out
 
-    def _gather(self, t: int, r: int, limit: int):
-        """Suffixes of the target and those of strings[r] starting before limit (none for limit 0).
+    def _gather(self, t: int, r: int):
+        """The suffixes of the target and, but for the own past, those of strings[r] before the target's last position.
 
-        Returns, in suffix-array order, their positions in their strings,
-        the lcp of each with the one before (and a final 0), and whether
-        each is strings[r]'s.
+        Returns, in suffix-array order, their ids, the lcp of each with the
+        one before (and a final 0), and whether each is a region suffix.  Ids
+        go by position, the target's first at equal positions: with L region
+        suffixes, id = p + min(p, L), plus 1 for the region's.  In the own
+        past, L = 0 and every suffix is the region's.
         """
-        start_t, start_r = self._starts[t], self._starts[r]
-        size = len(self.strings[t]) + min(limit, len(self.strings[r]))
-        pos, lcp = np.empty(size, np.int32), np.zeros(size + 1, np.int32)
+        n, start_t, start_r = len(self.strings[t]), self._starts[t], self._starts[r]
+        L = 0 if r == t else min(n - 1, len(self.strings[r]))
+        ids, lcp = np.empty(n + L, np.int32), np.zeros(n + L + 1, np.int32)
         in_t = self._sid == t
-        keep = in_t | (self._sid == r) & (self._sa < start_r + limit) if limit else in_t
+        keep = in_t | (self._sid == r) & (self._sa < start_r + L) if L else in_t
         at = 0
         for s, w in _since(self._lcp, keep):
             kept = keep[s]
             mine = in_t[s][kept]
             end = at + len(mine)
-            pos[at:end] = self._sa[s][kept] - np.where(mine, start_t, start_r)
+            p = self._sa[s][kept] - np.where(mine, start_t, start_r)
+            ids[at:end] = p + np.minimum(p, L) + ~mine if L else p
             lcp[at:end] = w[kept]
             at = end
-        return pos, lcp, ~in_t[keep]
+        return ids, lcp, ~in_t[keep] if r != t else np.broadcast_to(True, n)
 
 
 def _dense(target: bytes, regions: list[tuple[bytes, bool]]) -> np.ndarray:

@@ -65,17 +65,19 @@ def find_references(target: bytes, context: Context, lengths) -> list[tuple[int,
     return out
 
 
-def longest_previous(target: bytes) -> list[int]:
+def longest_previous(target: bytes, region: bytes | None = None) -> list[int]:
     """Longest match at each position q with a start p < q (it may overlap q), by bytes.find.
 
-    A length occurs before q when bytes.find finds the target's bytes from q
-    at a start below q; every shorter length then does too, so the longest is
-    found by doubling, then halving, the length.  Fast enough for some kB.
+    The start lies in region, or in the target itself if region is None.  A
+    length occurs before q when bytes.find finds the target's bytes from q
+    at a start below q; every shorter length then does too, so the longest
+    is found by doubling, then halving, the length.  Fast enough for some kB.
     """
+    region = target if region is None else region
     out = []
     for q in range(len(target)):
         def occurs(k):
-            return target.find(target[q : q + k], 0, q - 1 + k) >= 0
+            return region.find(target[q : q + k], 0, q - 1 + k) >= 0
 
         lo, hi = 0, 1  # occurs(lo); hi untested
         while q + hi <= len(target) and occurs(hi):

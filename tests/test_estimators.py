@@ -106,7 +106,7 @@ class TestAdmissibleFunctions:
             prev = v
 
     @pytest.mark.parametrize("kind", ["threshold", "sigmoid"], ids=lambda kind: f"{kind}_function")
-    @pytest.mark.parametrize("l0", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("l0", [math.nan, math.inf, -1.0, "3"])
     def test_bad_cutoff_rejected(self, kind, l0):
         with pytest.raises(ValueError, match="finite number >= 0"):
             AdmissibleFunction(kind, l0)
@@ -237,7 +237,21 @@ def test_empty_inputs_refused():
         nsd_matrix([b"a", b""])
     with pytest.raises(ValueError, match="^empty input$"):
         simple_complexity(b"")
+    with pytest.raises(ValueError, match="^empty input$"):
+        joint_complexity(b"", b"abc")
     assert nsd_matrix([]).shape == (0, 0)  # as nsd_matrix([x]) is [[0.]]
+
+
+# each of the rules that keep both factors in [0, 1]
+@pytest.mark.parametrize("lengths, n, message", [
+    ([5, 5], 3, "symbol lengths sum to 10, past the target length 3"),
+    ([0, 3], 5, "symbol lengths must be at least 1, not 0"),
+    ([4, -1], 5, "symbol lengths must be at least 1, not -1"),
+    ([1], 0, "symbol lengths sum to 1, past the target length 0"),
+], ids=["sum-past-n", "zero-length", "negative-length", "n-0"])
+def test_estimate_refuses_lengths_outside_the_target(lengths, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        estimate_from_lengths(lengths, n, AdmissibleFunction("threshold", 1.0))
 
 
 class TestSimpleComplexity:

@@ -385,6 +385,7 @@ def _string_sets(rng, big):
 
 @pytest.mark.parametrize("chunk", [index.CHUNK, 3])
 def test_all_pairs_sweep_equals_per_pair_arrays(chunk):
+    """The sweep's triples (_levels) against the per-pair arrays (nearest smaller ids): two independent algorithms."""
     rng = np.random.default_rng(12)
     sets = _string_sets(rng, big=False) + (_string_sets(rng, big=True) if chunk == index.CHUNK else [])
     with mock.patch.object(index, "CHUNK", chunk):
@@ -444,21 +445,40 @@ def test_own_past_equals_oracle(chunk):
                 assert idx.matches(t, t, whole=False).tolist() == want, name
 
 
+@pytest.mark.parametrize("chunk", [index.CHUNK, 3])
+def test_aligned_source_equals_oracle(chunk):
+    """The own past's input families as another string's past, shorter and longer than the target."""
+    rng = np.random.default_rng(28)
+    inputs = _own_past_inputs(rng, 3000 if chunk == index.CHUNK else 700)
+    names = [k for k in inputs if k not in ("empty", "one-byte")]
+    for a, b in zip(names, names[1:] + names[:1]):
+        y = inputs[a]
+        for x in (inputs[b][: len(y) // 3], inputs[b] + inputs[a][: len(y) // 2], y[: len(y) // 2] + b"b" * 3):
+            idx = index.Index([y, x])
+            idx._build()
+            with mock.patch.object(index, "CHUNK", chunk):
+                assert idx.matches(0, 1, whole=False).tolist() == longest_previous(y, x), (a, b, len(x))
+                assert idx.matches(1, 0, whole=False).tolist() == longest_previous(x, y), (b, a, len(x))
+
+
 def test_own_past_finishes_what_the_capped_rounds_leave():
     # a pointer whose own pointer is final moves one element a round; on a
-    # repeated block many do, for longer than the rounds allowed
-    s = np.random.default_rng(27).integers(0, 2, 100, dtype=np.uint8).tobytes() * 40
-    with mock.patch.object(index, "_finish", wraps=index._finish) as finish:
-        got = index.Index([s]).matches(0, 0, whole=False)
-    assert finish.call_count >= 1 and len(finish.call_args.args[2]) > 0
-    assert got.tolist() == longest_previous(s)
+    # repeated block many do, for longer than the rounds allowed; so do the
+    # target's suffixes against another string's past
+    block = np.random.default_rng(27).integers(0, 2, 100, dtype=np.uint8).tobytes()
+    for y, x in ((block * 40, None), (block * 40, block * 30)):
+        idx = index.Index([y] if x is None else [y, x])
+        with mock.patch.object(index, "_finish", wraps=index._finish) as finish:
+            got = idx.matches(0, idx.id(x or y), whole=False)
+        assert finish.call_count >= 1 and len(finish.call_args.args[2]) > 0
+        assert got.tolist() == longest_previous(y, x)
 
 
-def _naive_finish(pos, lcp, e):
-    """lcp of each element e with the nearest earlier element of smaller position: the minimum of lcp since it."""
+def _naive_finish(pos, lcp, e, below):
+    """lcp of each element e with the nearest earlier element of pos below e's below: the minimum of lcp since it."""
     out = []
-    for k in e:
-        j = max((j for j in range(k) if pos[j] < pos[k]), default=None)
+    for k, limit in zip(e, below):
+        j = max((j for j in range(k) if pos[j] < limit), default=None)
         out.append(0 if j is None else int(lcp[j + 1 : k + 1].min()))
     return out
 
@@ -475,7 +495,11 @@ def test_finish_equals_a_loop(chunk):
             lcp[0] = lcp[n] = 0
             for p, h in index._sides(pos, lcp):
                 e = np.flatnonzero(rng.random(n) < rng.choice([0.1, 0.5, 1.0]))
-                assert index._finish(p, h, e).tolist() == _naive_finish(p, h, e), (order, n)
+                assert index._finish(p, h, e, p[e]).tolist() == _naive_finish(p, h, e, p[e]), (order, n)
+                # a threshold per element, and candidates masked to a pos below none
+                below = rng.integers(0, n + 1, len(e)).astype(np.int32)
+                masked = np.where(rng.random(n) < 0.5, index._INF, p).astype(np.int32)
+                assert index._finish(masked, h, e, below).tolist() == _naive_finish(masked, h, e, below), (order, n)
 
 
 def _unequal_dag_strings():

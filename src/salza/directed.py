@@ -82,6 +82,9 @@ def directed_info(X: StringSet, i: int, j: int, kind: str = "causal", f: Admissi
     if i == j:
         raise ValueError("directed information is undefined for i == j")
     _check(X, kind)
+    for name, k in (("i", i), ("j", j)):
+        if not 0 <= k < len(X):
+            raise ValueError(f"{name} = {k} is not in 0..{len(X) - 1}")
     return _term(X, j, {i}, kind, f) - _term(X, j, set(), kind, f)
 
 
@@ -97,9 +100,10 @@ def directed_info_matrix(
     against the regions of all strings but at most one, so the index
     serves it from one triple over the whole set: at each position, the
     longest match, the string giving it and the longest from any other
-    string (see Index).  The causal triple comes from one sweep, with one
-    nearest pass per position bit for all strings together; the full
-    triple from one row and one own past per distinct string.
+    string (see Index).  The causal triple comes from two runs of the
+    aligned kernel per bit of the string ids, each over all strings
+    together; the full triple from one row and one own past per distinct
+    string.
     """
     _check(X, kind)
     n = len(X)

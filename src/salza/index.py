@@ -11,8 +11,8 @@ The kernels over the suffix array rest on one scan, _since: each
 element's match with the last marked element before it, the running
 minimum of the LCP since the mark, carried across CHUNK-sized pieces.  The
 scan down the sequence is the same scan up its reversed views.  An aligned
-past, the own or another string's, finds the nearest region suffixes that
-start earlier by pointer jumping (_jump).
+match, the own past, another string's or the causal triple's, finds the
+nearest suffixes that start earlier by pointer jumping (_jump).
 
 A reference's region and leftmost start both come from one minimum over
 the run of the suffix array that shares its match (Index.leftmost), for
@@ -43,22 +43,6 @@ GALLOP = 32
 MAX_LENGTH = _INF = np.iinfo(np.int32).max
 
 
-def _segmin(values: np.ndarray, starts: np.ndarray, carry: int) -> np.ndarray:
-    """Running minimum of values, restarting wherever starts is true.
-
-    Elements before the first restart continue the minimum `carry`.  Each
-    segment is shifted below all earlier ones, so one accumulate serves
-    them all.
-    """
-    seg = np.cumsum(starts, dtype=np.int64)
-    seg <<= 32
-    w = values - seg
-    w[0] = min(w[0], carry)  # below any later segment, so only the first one sees it
-    np.minimum.accumulate(w, out=w)
-    w += seg
-    return w
-
-
 def _since(lcp: np.ndarray, marks: np.ndarray):
     """Each element's match with the last marked element before it, chunk by chunk.
 
@@ -74,7 +58,13 @@ def _since(lcp: np.ndarray, marks: np.ndarray):
     for lo in range(0, len(marks), CHUNK):
         s = slice(lo, min(lo + CHUNK, len(marks)))
         here = marks[s]
-        w = _segmin(lcp[s], np.concatenate(([after], here[:-1])), carry)
+        # each stretch after a mark shifted below the earlier ones: one accumulate serves all
+        seg = np.cumsum(np.concatenate(([after], here[:-1])), dtype=np.int64)
+        seg <<= 32
+        w = lcp[s] - seg
+        w[0] = min(w[0], carry)  # below any later stretch, so only the first one sees it
+        np.minimum.accumulate(w, out=w)
+        w += seg
         yield s, w
         carry, after = int(w[-1]), bool(here[-1])
 
@@ -120,113 +110,61 @@ def _run_starts(lcp: np.ndarray, rank: np.ndarray, length: np.ndarray) -> np.nda
     return lo
 
 
-def _nearest_regions(best, starts, pos, lcp, sid, points, queries) -> None:
-    """Merge into best, at starts[sid] + pos, each query's longest match with the points, by string.
-
-    best is three arrays: v1, the longest match with any string's points;
-    r1, a string giving it; v2, the longest with any other string's.  On
-    one side, v1 is the match with the nearest point and r1 its string.
-    The nearest point of another string lies just before the run of r1's
-    points that ends at the nearest one, so v2 is the smaller of v1 and h
-    at the nearest point: the running minimum of w over the points alone,
-    restarting at each point whose string differs from the previous one's.
-    """
-    for pos, lcp, sid, points, queries in _sides(pos, lcp, sid, points, queries):
-        last_r, last_h = 0, 0  # before any point: no match
-        for s, w in _since(lcp, points):
-            here = points[s]
-            r = np.concatenate(([last_r], sid[s][here]))
-            h = np.concatenate(([last_h], w[here]))
-            h = _segmin(h, np.concatenate(([False], r[1:] != r[:-1])), _INF)
-            last_r, last_h = int(r[-1]), int(h[-1])
-            q = queries[s]
-            k = np.cumsum(here)[q]  # the nearest point, in r and h (0: one in an earlier chunk)
-            a1 = w[q]
-            _merge(best, starts[sid[s][q]] + pos[s][q], a1, r[k], np.minimum(h[k], a1))
-
-
-def _merge(best, at, a1, ra, a2) -> None:
-    """Merge the triple (a1, ra, a2) into best at positions at; both read as in _nearest_regions."""
+def _merge(best, row: np.ndarray, r: int) -> None:
+    """Merge string r's matches, row, into the triple best (see Index)."""
     v1, r1, v2 = best
-    b1, rb, b2 = v1[at], r1[at], v2[at]
-    # besides both v2, the loser's v1 counts if its string is not the winner's
-    lose = np.minimum(a1, b1)
-    lose[ra == rb] = 0
-    v2[at] = np.maximum(np.maximum(a2, b2), lose)
-    # r1 before v1: with at a slice, b1 is a view of v1
-    r1[at] = np.where(a1 > b1, ra, rb)
-    v1[at] = np.maximum(a1, b1)
+    lose = np.minimum(row, v1)  # besides v2, the loser's v1 counts if its string is not the winner's
+    lose[r1 == r] = 0
+    np.maximum(v2, lose, out=v2, casting="unsafe")
+    r1[row > v1] = r
+    np.maximum(v1, row, out=v1, casting="unsafe")
 
 
-def _child_lcp(lcp: np.ndarray, bit: np.ndarray, low: np.ndarray) -> None:
-    """Turn lcp into the lcp within each half of the blocks, in place.
+def _pointers(lcp, marks, ptr, h, names=None):
+    """Point each element of a side (see _sides) at the nearest marked element before it.
 
-    An element's predecessor in its half (bit set, or low: clear) is the
-    last earlier element of that half, so their lcp is _since over that
-    half's mask.  Only the forward scan is needed: the halves keep the
-    sequence's order.  A chunk is rewritten after both scans have read it.
+    Fills ptr with the pointers (-1 for none) and h with the lcp since each
+    (_since), both by name: names[k] for the side's k-th element, or k if
+    names is None; returns them.  marks None marks every element, each then
+    pointing at its neighbour.  ptr is written after lcp is read, so it may
+    be lcp's memory.
     """
-    for (s, ones), (_, zeros) in zip(_since(lcp, bit), _since(lcp, low)):
-        lcp[s] = np.where(bit[s], ones, zeros)
+    size = len(lcp) - 1
+    own = ((slice(lo, lo + CHUNK), lcp[lo : min(lo + CHUNK, size)]) for lo in range(0, size, CHUNK))
+    for s, w in own if marks is None else _since(lcp, marks):
+        h[s if names is None else names[s]] = w
+    last = np.full(1, -1, np.int32)
+    for lo in range(0, size, CHUNK):
+        s = slice(lo, min(lo + CHUNK, size))
+        part = np.arange(lo, s.stop, dtype=np.int32) if names is None else names[s]
+        # the last marked element before the chunk, then those of the chunk
+        seen = np.concatenate((last, part if marks is None else part[marks[s]]))
+        ptr[part] = seen[:-1] if marks is None else seen[np.cumsum(marks[s], dtype=np.int32) - marks[s]]
+        last[0] = seen[-1]
+    return ptr, h
 
 
-def _levels(best, starts, pos, lcp, sid, b: int) -> None:
-    """Merge into best every suffix's matches with the suffixes at smaller positions, level by level from bit b.
+def _jump(ptr: np.ndarray, h: np.ndarray, rounds: int, key: np.ndarray | None = None) -> np.ndarray:
+    """Move each element's pointer to the nearest element before it, on its side, of smaller key.
 
-    The sequence holds suffixes in suffix-array order: pos their positions
-    in their strings, sid their strings.  A pair p < q of positions first
-    differs in one bit, where p has 0 and q has 1.  Going down from the top
-    bit b, the elements stay in blocks of equal position >> (b + 1), each in
-    suffix-array order, and at bit b _nearest_regions matches the points,
-    with bit b clear (low), with the queries, with it set (bit).  A child
-    block's lcp is the running minimum over its parent's.  A large block is
-    split in place, so that its halves are views; smaller ones are reordered
-    together.  The arrays are overwritten.
+    Elements are named by index into ptr and h; p's key is key[p], or p
+    (ids, all distinct) if key is None.  ptr[p] comes before p on this side,
+    every element pointed at between them having a key not below p's, and
+    h[p] is their lcp; ptr -1 with h 0 is none.  While ptr[p]'s key is not
+    below p's and h[p] > 0, p takes its pointer's pointer and the smaller h:
+    then h[p] is the lcp with the nearest smaller key, or 0 where no match
+    reaches past the pointer.  A pointer whose own pointer is final moves
+    one element a round, so at most rounds rounds run.  The moving elements
+    go CHUNK at a time, packed into one int32 array; returns a view of those
+    left.
     """
-    while True:
-        bit = np.concatenate([pos[lo : lo + CHUNK] >> b & 1 == 1 for lo in range(0, len(pos), CHUNK)])
-        low = ~bit
-        _nearest_regions(best, starts, pos, lcp, sid, low, bit)
-        if b == 0:
-            return
-        _child_lcp(lcp, bit, low)
-        b -= 1
-        arrays = [pos, lcp[:-1], sid]
-        if len(pos) > CHUNK:
-            # the second half's first lcp (0) also ends the first half
-            zeros = int(np.count_nonzero(low))
-            for a in arrays:
-                tail = a[bit]
-                a[:zeros] = a[low]
-                a[zeros:] = tail
-            del bit, low, tail
-            for lo, hi in ((0, zeros), (zeros, len(pos))):
-                if hi > lo:
-                    _levels(best, starts, pos[lo:hi], lcp[lo : hi + 1], sid[lo:hi], b)
-            return
-        order = np.argsort(pos >> (b + 1), kind="stable")
-        for a in arrays:
-            a[:] = a[order]
+    def moving(p, q, hp):
+        return p[(q > p if key is None else key[q] >= key[p]) & (hp > 0)]
 
-
-def _jump(ptr: np.ndarray, h: np.ndarray, rounds: int) -> np.ndarray:
-    """Move each suffix's pointer to the nearest suffix before it, on its side, of smaller id.
-
-    Suffixes are named by id, and only some are ever pointed at.  ptr[p] is
-    a suffix that comes before p's on this side, with every suffix pointed
-    at between them of an id not below p, and h[p] is the lcp of the two
-    suffixes; ptr -1 with h 0 is none.  While ptr[p] > p and h[p] > 0, p
-    takes its pointer's pointer and the smaller h: then h[p] is the lcp with
-    the nearest smaller id, or 0 where no match reaches past the pointer.  A
-    pointer whose own pointer is final moves one suffix a round, so at most
-    rounds rounds run.  The moving suffixes go CHUNK at a time, packed into
-    one int32 array; returns those left.
-    """
     n = len(ptr)
     todo, size = np.empty(n, np.int32), 0
     for lo in range(0, n, CHUNK):
-        p = np.arange(lo, min(lo + CHUNK, n), dtype=np.int32)
-        p = p[(ptr[lo : lo + CHUNK] > p) & (h[lo : lo + CHUNK] > 0)]
+        p = moving(np.arange(lo, min(lo + CHUNK, n), dtype=np.int32), ptr[lo : lo + CHUNK], h[lo : lo + CHUNK])
         todo[size : size + len(p)] = p
         size += len(p)
     for _ in range(rounds):
@@ -240,21 +178,22 @@ def _jump(ptr: np.ndarray, h: np.ndarray, rounds: int) -> np.ndarray:
             h[p] = hp
             q = ptr[q]
             ptr[p] = q
-            p = p[(q > p) & (hp > 0)]
+            p = moving(p, q, hp)
             todo[kept : kept + len(p)] = p
             kept += len(p)
         size = kept
-    return todo[:size].copy()
+    return todo[:size]
 
 
-def _finish(pos: np.ndarray, lcp: np.ndarray, e: np.ndarray, below: np.ndarray) -> np.ndarray:
-    """lcp of each element e (ascending) with the nearest earlier one whose pos is below e's threshold, 0 if none.
+def _finish(pos: np.ndarray, lcp: np.ndarray, e: np.ndarray, below: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """lcp of each element e (ascending) with the nearest earlier marked one whose pos is below e's threshold, 0 if none.
 
-    below holds the thresholds.  Over aligned blocks of doubling size 2s,
-    from s = 1: an element in a block's right half with no answer yet has
-    none in that half, so its answer is the last element of the left half
-    below its threshold, if any: the last whose suffix minimum of pos there
-    is below it, found for all blocks by one searchsorted.  Its lcp is the smaller of
+    below holds the thresholds, and marks the elements that count.  Over
+    aligned blocks of doubling size 2s, from s = 1: an element in a block's
+    right half with no answer yet has none in that half, so its answer is
+    the last marked element of the left half below its threshold, if any:
+    the last whose suffix minimum of pos there (masked where unmarked) is
+    below it, found for all blocks by one searchsorted.  Its lcp is the smaller of
     the lcp minima from there to the left half's end and from the right
     half's start to the element.  Each level reads each block holding such
     an element once: O(n log n) in all.  Blocks are read CHUNK positions at
@@ -270,8 +209,9 @@ def _finish(pos: np.ndarray, lcp: np.ndarray, e: np.ndarray, below: np.ndarray) 
             at = blocks[lo : lo + per]
             mine = slice(*np.searchsorted(which, [lo, lo + per]))
             row, x = which[mine] - lo, -below[look[mine]]
-            # minus the suffix minima of position, from the half's end: ascending
-            low = np.minimum.accumulate(_rows(pos, at, s)[:, ::-1], axis=1)
+            # the half from its end, unmarked elements below no threshold
+            low = np.where(_rows(marks, at, s)[:, ::-1], _rows(pos, at, s)[:, ::-1], _INF)
+            np.minimum.accumulate(low, axis=1, out=low)  # minus the suffix minima of position: ascending
             np.negative(low, out=low)
             if len(at) > 1:  # each row above the ones before
                 low = low + (np.arange(len(at), dtype=np.int64) << 32)[:, None]
@@ -288,6 +228,21 @@ def _finish(pos: np.ndarray, lcp: np.ndarray, e: np.ndarray, below: np.ndarray) 
             done[got] = True
         s *= 2
     return out
+
+
+def _nearest_smaller(out: np.ndarray, pos: np.ndarray, lcp: np.ndarray, marks: np.ndarray) -> None:
+    """Raise out to each element's lcp with the nearest marked element before it, on its side, of smaller pos.
+
+    _pointers, then _jump by pos; _finish takes the elements left CHUNK at
+    a time, which bounds its temporaries.  h takes out's dtype.
+    """
+    ptr, h = _pointers(lcp, marks, np.empty(len(pos), np.int32), np.empty(len(pos), out.dtype))
+    left = _jump(ptr, h, 2 * len(ptr).bit_length(), pos)
+    del ptr
+    for lo in range(0, len(left), CHUNK):
+        e = left[lo : lo + CHUNK]
+        h[e] = _finish(pos, lcp, e, pos[e], marks)
+    np.maximum(out, h, out=out)
 
 
 def _rows(a: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -577,12 +532,11 @@ class Index:
     A target's longest match with all strings but at most one (best) comes
     from a triple of arrays over the index, made on first use: the longest
     match over all strings, a string giving it and the longest over the
-    others.  The aligned triple, over all pasts, comes from one sweep with
-    one nearest pass per bit for all strings; it takes over the index's
-    arrays, which the next match array or leftmost builds again.  The whole
-    triple (own past, other strings whole) merges one row and one own past
-    per string.  best_matches takes the one its mode names, only on an
-    index shared across factorizations, where it serves many terms.
+    others.  The aligned triple, over all pasts, comes from two runs of the
+    aligned kernel per bit of the string ids (_sweep).  The whole triple
+    (own past, other strings whole) merges one row and one own past per
+    string.  best_matches takes the one its mode names, only on an index
+    shared across factorizations, where it serves many terms.
     """
 
     def __init__(self, strings):
@@ -672,15 +626,17 @@ class Index:
         at p is the larger lcp with the nearest region suffix of smaller id
         on either side (Crochemore & Ilie): on one side the sequence, on the
         other its reversed views.  A side points each suffix at the nearest
-        region suffix before it (_chains); _jump moves the pointers for at
-        most 2 log2 rounds, and _finish takes the target's suffixes left.  No
-        target suffix is pointed at, so a query follows only region suffixes'
-        chains, each skipping only region suffixes of larger id.
+        region suffix before it (_pointers, by id); _jump moves the pointers
+        for at most 2 log2 rounds, and _finish takes the target's suffixes
+        left.  No target suffix is pointed at, so a query follows only region
+        suffixes' chains, each skipping only region suffixes of larger id.
         """
         n = len(self.strings[t])
         out = np.zeros(n, np.int32)
         for side in (0, 1) if n > 1 else ():
-            ptr, h = self._chains(t, r, side)
+            ids, lcp, region = _sides(*self._gather(t, r))[side]
+            ptr, h = _pointers(lcp, None if r == t else region, lcp[:-1], np.empty(len(ids), np.int32), ids)
+            del ids, lcp, region
             L = len(ptr) - n
             left = _jump(ptr, h, 2 * len(ptr).bit_length())
             del ptr
@@ -696,36 +652,11 @@ class Index:
                 mark[left] = True
                 e = np.flatnonzero(mark[ids])
                 below = ids[e]
-                ids[~region] = _INF  # below no threshold: a target suffix is never the answer
-                del mark, left, region
-                got = _finish(ids, lcp, e, below)
+                del mark, left
+                got = _finish(ids, lcp, e, below, region)  # a target suffix is never the answer
                 np.maximum.at(out, below - np.minimum(below // 2, L), got)  # at the ids' target positions
-                del ids, lcp, e, below, got
+                del ids, lcp, region, e, below, got
         return out
-
-    def _chains(self, t: int, r: int, side: int):
-        """Each suffix of one side (see _sides) of _gather(t, r) pointing at the nearest region suffix before it.
-
-        Returns the pointers (-1 for none) and the lcp since each, by id: in
-        the own past each suffix's neighbour, otherwise _since's with the
-        region's suffixes as the marks.
-        """
-        ids, lcp, region = _sides(*self._gather(t, r))[side]
-        size = len(ids)
-        h = np.empty(size, np.int32)
-        # the own past points each suffix at its neighbour, so the lcp since it is lcp itself
-        own = ((slice(lo, lo + CHUNK), lcp[lo : min(lo + CHUNK, size)]) for lo in range(0, size, CHUNK))
-        for s, w in own if r == t else _since(lcp, region):
-            h[ids[s]] = w
-        del lcp, w  # w may be a view of lcp
-        ptr, last = np.empty(size, np.int32), np.full(1, -1, np.int32)
-        for lo in range(0, size, CHUNK):
-            part, here = ids[lo : lo + CHUNK], region[lo : lo + CHUNK]
-            # the id of the last region suffix before the chunk, then those of the chunk's
-            seen = np.concatenate((last, part if r == t else part[here]))
-            ptr[part] = seen[:-1] if r == t else seen[np.cumsum(here, dtype=np.int32) - here]
-            last[0] = seen[-1]
-        return ptr, h
 
     def best(self, target: int, left_out: int | None = None, whole: bool = False) -> np.ndarray:
         """Longest match of strings[target] with every string but strings[left_out].
@@ -750,21 +681,47 @@ class Index:
         return v1[at] if left_out is None else np.where(r1[at] == left_out, v2[at], v1[at])
 
     def _sweep(self, best) -> None:
-        """Merge into best (see the class) every string's matches with the pasts of all strings."""
-        pos, lcp, sid = self._sa, self._lcp, self._sid
-        self._sa = self._lcp = self._sid = None
-        for lo in range(0, len(pos), CHUNK):  # positions in their strings
-            pos[lo : lo + CHUNK] -= self._starts[sid[lo : lo + CHUNK]]
-        longest = max(map(len, self.strings))
-        if longest > 1:
-            _levels(best, self._starts, pos, lcp, sid, (longest - 1).bit_length() - 1)
+        """Fill best (see the class) with the aligned triple, from two runs of the aligned kernel per bit of the string ids.
+
+        Run (b, v) gives each suffix its longest match with the suffixes of
+        strings whose id has bit b = v at smaller positions in their own
+        strings: its sides' _nearest_smaller, over those positions, held in
+        _sa's memory meanwhile.  A bit's two runs cover all strings: v1 is the
+        larger.  Any other string differs from r1 in some bit, so lies in that
+        bit's run without r1: v2 is the largest smaller run (v1 if two strings
+        reach v1).  Where v2 < v1, r1 has bit b where run (b, 1) is larger;
+        elsewhere r1 means nothing.
+        """
+        sa, sid, self._sa = self._sa, self._sid, None  # if a run fails, the index is built again
+        sa -= self._starts[sid]
+
+        def run(out, b, v):
+            out[:] = 0
+            for pos, lcp, marks, side in _sides(sa, self._lcp, (sid >> b & 1) == v, out):
+                _nearest_smaller(side, pos, lcp, marks)
+            return out
+
+        v1, r1, v2 = (x[: len(sa)] for x in best)  # in suffix-array order until the runs end
+        a = run(np.zeros_like(v1), 0, 1)
+        np.maximum(run(v2, 0, 0), a, out=v1)  # v2 holds run (0, 0) until v1 is known
+        r1[:] = a > v2
+        np.minimum(v2, a, out=v2)
+        for b in range(1, (len(self.strings) - 1).bit_length()):
+            short = run(a, b, 0) < v1  # run (b, 1) reaches v1 there: r1 has bit b
+            r1 |= short.astype(r1.dtype) << b
+            np.maximum(v2, np.where(short, a, 0), out=v2)  # the smaller run of the two
+            np.maximum(v2, np.where(short, 0, run(a, b, 1)), out=v2)
+        self._sa = np.add(sa, self._starts[sid], out=sa)  # back to positions in the index
+        for x in best:  # to index order, 0 at the separators
+            x[sa] = x[: len(sa)].copy()
+            x[self._starts[1:] - 1] = 0
 
     def _merge_rows(self, best) -> None:
         """Merge into best (see the class) each string's row, its own positions holding its own past."""
         for r, s in enumerate(self.strings):
             row = self._whole_row(r)
             row[self._starts[r] : self._starts[r] + len(s)] = self._aligned(r, r)
-            _merge(best, slice(None), row, r, 0)
+            _merge(best, row, r)
 
     def leftmost(self, t: int, at: np.ndarray, length: np.ndarray, regions: list[tuple[int, bool]]):
         """First region and leftmost start of the match of length with strings[t] at each of at.
@@ -906,7 +863,8 @@ def best_matches(target: bytes, sources: tuple[bytes, ...], own: bool, whole: bo
     if not private and len(left_out) <= 1 and (not whole or own and t not in ids):
         best = index.best(t, *left_out, whole=whole)
     else:
-        best = reduce(np.maximum, [index.matches(t, index.id(s), w) for s, w in regions])
+        arrays = (index.matches(t, i, w) for i, w in [(t, False)] * own + [(i, whole) for i in ids])
+        best = reduce(lambda a, b: np.maximum(a, b, out=a), arrays)  # one array at a time
         if private:  # the offsets need only the suffix array
             index._row_of = index._row = None
     return best, where

@@ -65,6 +65,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="^need at least two strings$"):
             directed_info(X, 0, -1)
 
+    @pytest.mark.parametrize("i, j", [(5, 0), (-1, 0), (0, -1), (0, 3)])
+    def test_index_outside_the_set_rejected(self, i, j):
+        rng = np.random.default_rng(7)
+        X = StringSet(("a", "b", "c"), tuple(rng.integers(0, 4, 500, dtype=np.uint8).tobytes() for _ in range(3)))
+        name, k = ("i", i) if not 0 <= i < 3 else ("j", j)
+        with pytest.raises(ValueError, match=rf"^{name} = {k} is not in 0\.\.2$"):
+            directed_info(X, i, j)
+
     def test_single_string_rejected(self):
         X = StringSet(("a",), (b"abcabc",))
         with pytest.raises(ValueError):

@@ -340,7 +340,7 @@ def _naive_since(lcp, marks):
 
 
 @pytest.mark.parametrize("chunk", [index.CHUNK, 3])
-def test_since_and_child_lcp_equal_naive_loops(chunk):
+def test_since_equals_a_naive_loop(chunk):
     rng = np.random.default_rng(13)
     cases = list(_block_lcps(rng, big=chunk == index.CHUNK))  # 20000 elements: more than one default CHUNK
     with mock.patch.object(index, "CHUNK", chunk):
@@ -350,11 +350,6 @@ def test_since_and_child_lcp_equal_naive_loops(chunk):
                 got = list(index._since(view, mask))
                 assert [s.start for s, _ in got] == list(range(0, len(mask), chunk))
                 assert np.concatenate([w for _, w in got]).tolist() == _naive_since(view, mask)
-                # a half's predecessor is the last earlier element of that half
-                want = np.where(mask, _naive_since(view, mask), _naive_since(view, ~mask))
-                child = view.copy()
-                index._child_lcp(child, mask, ~mask)
-                assert child[:-1].tolist() == want.tolist() and child[-1] == view[-1]
 
 
 def _naive_aligned(target, region):
@@ -385,7 +380,7 @@ def _string_sets(rng, big):
 
 @pytest.mark.parametrize("chunk", [index.CHUNK, 3])
 def test_all_pairs_sweep_equals_per_pair_arrays(chunk):
-    """The sweep's triples (_levels) against the per-pair arrays (nearest smaller ids): two independent algorithms."""
+    """The triples against the per-pair arrays: both from nearest smaller keys, so the brute-force triple test is the independent check."""
     rng = np.random.default_rng(12)
     sets = _string_sets(rng, big=False) + (_string_sets(rng, big=True) if chunk == index.CHUNK else [])
     with mock.patch.object(index, "CHUNK", chunk):
@@ -404,10 +399,67 @@ def test_all_pairs_sweep_equals_per_pair_arrays(chunk):
                         rest = [a for r, a in enumerate(arrays) if r != left_out]
                         want = np.max(rest, axis=0).tolist() if rest else [0] * len(target)
                         assert idx.best(t, left_out, kind).tolist() == want, (strings, t, left_out, kind)
-            # the sweep took over the index's arrays; a later request builds them again
+            # the sweep leaves the index's arrays as they were
             last = m - 1
             for whole in (False, True):
                 assert sweep.matches(0, last, whole).tolist() == pairs.matches(0, last, whole).tolist()
+
+
+def _assert_triple_equals_brute_force(idx):
+    """The aligned triple: v1, v2, and r1 where v2 < v1, from every string's per-pair brute-force arrays."""
+    v1, r1, v2 = idx._best[False]
+    for t, target in enumerate(idx.strings):
+        arrays = np.array([_naive_aligned(target, region) for region in idx.strings]).reshape(len(idx.strings), -1)
+        at = slice(idx._starts[t], idx._starts[t] + len(target))
+        top, ranked = arrays.max(axis=0), np.sort(arrays, axis=0)
+        second = ranked[-2] if len(arrays) > 1 else np.zeros_like(top)
+        alone = second < top
+        assert v1[at].tolist() == top.tolist() and v2[at].tolist() == second.tolist(), (idx.strings, t)
+        assert r1[at][alone].tolist() == arrays.argmax(axis=0)[alone].tolist(), (idx.strings, t)
+
+
+def _triple_sets(rng, m):
+    """Seeded sets of m distinct strings of unequal lengths: random, periodic and repeated-block."""
+    def one(family, n):
+        alpha = int(rng.integers(1, 4))
+        if family == "random":
+            return rng.integers(0, alpha, n, dtype=np.uint8)
+        unit = rng.integers(0, alpha, int(rng.integers(1, 5 if family == "periodic" else 16)), dtype=np.uint8)
+        s = np.resize(unit, n)
+        if family == "repeated-block":
+            s[rng.random(n) < 0.02] ^= 1
+        return s
+
+    for family in ("random", "periodic", "repeated-block"):
+        strings = set()
+        while len(strings) < m:
+            strings.add((one(family, int(rng.integers(1, 70))) + 97).astype(np.uint8).tobytes())
+        yield sorted(strings)
+
+
+@pytest.mark.parametrize("chunk", [index.CHUNK, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 9])
+def test_aligned_triple_equals_brute_force(m, chunk):
+    """One string given twice (m = 1), a power of two, and 9 = 2**3 + 1: one string alone in the top bit."""
+    rng = np.random.default_rng(40 + m)
+    for strings in _triple_sets(rng, m):
+        idx = index.Index(strings + strings[:1])  # the copy shares an entry
+        assert len(idx.strings) == m
+        with mock.patch.object(index, "CHUNK", chunk):
+            idx.best(0)
+        _assert_triple_equals_brute_force(idx)
+
+
+@pytest.mark.parametrize("chunk", [index.CHUNK, 3])
+def test_aligned_triple_finishes_what_the_capped_rounds_leave(chunk):
+    # on a unary pair, every suffix of the shorter string is still moving
+    # when the pointer rounds run out
+    idx = index.Index([b"a" * 200, b"a" * 140])
+    with mock.patch.object(index, "CHUNK", chunk), \
+            mock.patch.object(index, "_finish", wraps=index._finish) as finish:
+        idx.best(0)
+    assert finish.call_count >= 1  # called only for the suffixes left
+    _assert_triple_equals_brute_force(idx)
 
 
 def _own_past_inputs(rng, size):
@@ -495,11 +547,13 @@ def test_finish_equals_a_loop(chunk):
             lcp[0] = lcp[n] = 0
             for p, h in index._sides(pos, lcp):
                 e = np.flatnonzero(rng.random(n) < rng.choice([0.1, 0.5, 1.0]))
-                assert index._finish(p, h, e, p[e]).tolist() == _naive_finish(p, h, e, p[e]), (order, n)
-                # a threshold per element, and candidates masked to a pos below none
+                every = np.ones(n, bool)
+                assert index._finish(p, h, e, p[e], every).tolist() == _naive_finish(p, h, e, p[e]), (order, n)
+                # a threshold per element, and unmarked candidates, which count as a pos below none
                 below = rng.integers(0, n + 1, len(e)).astype(np.int32)
-                masked = np.where(rng.random(n) < 0.5, index._INF, p).astype(np.int32)
-                assert index._finish(masked, h, e, below).tolist() == _naive_finish(masked, h, e, below), (order, n)
+                marks = rng.random(n) < 0.5
+                masked = np.where(marks, p, index._INF)
+                assert index._finish(p, h, e, below, marks).tolist() == _naive_finish(masked, h, e, below), (order, n)
 
 
 def _unequal_dag_strings():
@@ -706,13 +760,13 @@ def test_causal_term_offsets_after_the_sweep(chunk):
             others = tuple(s for k, s in enumerate(strings) if k not in (j, skip))
             context = Context(others, Mode.PAST_OF_BOTH, idx)
             terms.append((strings[j], context, factorize(strings[j], context)))
-        assert False in idx._best and idx._sa is None  # the sweep took the index's arrays
+        assert False in idx._best and idx._sa is not None  # the sweep keeps the index's arrays
         with mock.patch.object(index, "CHUNK", chunk), _counting("_aligned") as aligned, \
                 _counting("_build") as build:
             for target, context, f in terms:
                 _assert_offsets_leftmost(target, context, f)
-        # the symbols need no per-pair match array, and one rebuild serves all the terms
-        assert aligned.call_count == 0 and build.call_count == 1
+        # the symbols need no per-pair match array and no rebuild
+        assert aligned.call_count == 0 and build.call_count == 0
         for target, context, f in terms:
             assert f == naive_factorize(target, context)
 
@@ -779,19 +833,17 @@ def test_full_matrix_makes_one_row_per_string():
         assert sweep.call_count == matches.call_count == 0
 
 
-def test_merge_over_a_slice_equals_merge_over_positions():
+def test_merge_equals_a_loop():
+    """Each position's v1, r1 and v2 after merging string r's row, from their definitions."""
     rng = np.random.default_rng(25)
     for _ in range(50):
         v1 = rng.integers(0, 6, 40).astype(np.uint16)
         best = v1, rng.integers(0, 3, 40).astype(np.uint8), (v1 * rng.random(40)).astype(np.uint16)
-        a1 = rng.integers(0, 6, 40, dtype=np.int32)
-        ra, a2 = int(rng.integers(0, 3)), (a1 * rng.random(40)).astype(np.int32)
-        lo, hi = sorted(rng.integers(0, 41, 2).tolist())
-        by_slice, by_positions = [a.copy() for a in best], [a.copy() for a in best]
-        index._merge(by_slice, slice(lo, hi), a1[lo:hi], ra, a2[lo:hi])
-        index._merge(by_positions, np.arange(lo, hi), a1[lo:hi], ra, a2[lo:hi])
-        for got, want in zip(by_slice, by_positions):
-            assert got.tolist() == want.tolist()
+        row, r = rng.integers(0, 6, 40, dtype=np.int32), int(rng.integers(0, 3))
+        want = [(max(a, b1), r if a > b1 else rb, max(b2, 0 if rb == r else min(a, b1)))
+                for a, b1, rb, b2 in zip(row.tolist(), *(x.tolist() for x in best))]
+        index._merge(best, row, r)
+        assert list(zip(*(x.tolist() for x in best))) == want
 
 
 def test_index_refuses_more_positions_than_int32_addresses(monkeypatch):

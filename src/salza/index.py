@@ -22,7 +22,8 @@ every input: the dense kernel gives only the match lengths.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, count
+from math import comb
 
 import numpy as np
 
@@ -139,7 +140,8 @@ def _pointers(lcp, marks, ptr, h, names=None):
         part = np.arange(lo, s.stop, dtype=np.int32) if names is None else names[s]
         # the last marked element before the chunk, then those of the chunk
         seen = np.concatenate((last, part if marks is None else part[marks[s]]))
-        ptr[part] = seen[:-1] if marks is None else seen[np.cumsum(marks[s], dtype=np.int32) - marks[s]]
+        before = seen[:-1] if marks is None else seen[np.cumsum(marks[s], dtype=np.int32) - marks[s]]
+        ptr[s if names is None else part] = before
         last[0] = seen[-1]
     return ptr, h
 
@@ -155,16 +157,18 @@ def _jump(ptr: np.ndarray, h: np.ndarray, rounds: int, key: np.ndarray | None = 
     then h[p] is the lcp with the nearest smaller key, or 0 where no match
     reaches past the pointer.  A pointer whose own pointer is final moves
     one element a round, so at most rounds rounds run.  The moving elements
-    go CHUNK at a time, packed into one int32 array; returns a view of those
-    left.
+    go CHUNK at a time, packed into one int32 array of their count, each
+    chunk taken as intp once a round.  Returns a view of those left.
     """
-    def moving(p, q, hp):
-        return p[(q > p if key is None else key[q] >= key[p]) & (hp > 0)]
+    def first(lo):  # whether each element of the chunk from lo moves
+        s, q = slice(lo, lo + CHUNK), ptr[lo : lo + CHUNK]
+        return (q > np.arange(lo, lo + len(q)) if key is None else key[q] >= key[s]) & (h[s] > 0)
 
     n = len(ptr)
-    todo, size = np.empty(n, np.int32), 0
+    todo, size = np.empty(sum(int(np.count_nonzero(first(lo))) for lo in range(0, n, CHUNK)), np.int32), 0
     for lo in range(0, n, CHUNK):
-        p = moving(np.arange(lo, min(lo + CHUNK, n), dtype=np.int32), ptr[lo : lo + CHUNK], h[lo : lo + CHUNK])
+        p = np.flatnonzero(first(lo))
+        p += lo
         todo[size : size + len(p)] = p
         size += len(p)
     for _ in range(rounds):
@@ -172,13 +176,13 @@ def _jump(ptr: np.ndarray, h: np.ndarray, rounds: int, key: np.ndarray | None = 
             break
         kept = 0
         for lo in range(0, size, CHUNK):  # the kept ones land on entries already read
-            p = todo[lo : min(lo + CHUNK, size)]
-            q = ptr[p]
+            p = todo[lo : min(lo + CHUNK, size)].astype(np.intp)
+            q = ptr[p].astype(np.intp)
             hp = np.minimum(h[p], h[q])
             h[p] = hp
             q = ptr[q]
             ptr[p] = q
-            p = moving(p, q, hp)
+            p = p.compress((q > p if key is None else key[q] >= key[p]) & (hp > 0))
             todo[kept : kept + len(p)] = p
             kept += len(p)
         size = kept
@@ -243,6 +247,17 @@ def _nearest_smaller(out: np.ndarray, pos: np.ndarray, lcp: np.ndarray, marks: n
         e = left[lo : lo + CHUNK]
         h[e] = _finish(pos, lcp, e, pos[e], marks)
     np.maximum(out, h, out=out)
+
+
+def _codewords(m: int) -> tuple[int, np.ndarray]:
+    """The fewest bits k for m codewords none of which holds another, and the codewords.
+
+    They are the first m integers with ceil(k/2) bits set: k is the least
+    with C(k, ceil(k/2)) >= m (Sperner).
+    """
+    k = next(k for k in count(1) if comb(k, (k + 1) // 2) >= m)
+    words = [w for w in range(1 << k) if w.bit_count() == (k + 1) // 2][:m]
+    return k, np.array(words, np.min_scalar_type((1 << k) - 1))
 
 
 def _rows(a: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
@@ -532,8 +547,10 @@ class Index:
     A target's longest match with all strings but at most one (best) comes
     from a triple of arrays over the index, made on first use: the longest
     match over all strings, a string giving it and the longest over the
-    others.  The aligned triple, over all pasts, comes from two runs of the
-    aligned kernel per bit of the string ids (_sweep).  The whole triple
+    others.  The aligned triple, over all pasts, comes from k runs of the
+    aligned kernel, one per bit of the strings' codewords (_sweep): 4 at
+    m = 6 strings, 8 at 40, 9 at 80.  The runs that reach v1 make up a
+    codeword, r1's, exactly where v2 < v1.  The whole triple
     (own past, other strings whole) merges one row and one own past per
     string.  best_matches takes the one its mode names, only on an index
     shared across factorizations, where it serves many terms.
@@ -681,36 +698,43 @@ class Index:
         return v1[at] if left_out is None else np.where(r1[at] == left_out, v2[at], v1[at])
 
     def _sweep(self, best) -> None:
-        """Fill best (see the class) with the aligned triple, from two runs of the aligned kernel per bit of the string ids.
+        """Fill best (see the class) with the aligned triple, from one run of the aligned kernel per codeword bit.
 
-        Run (b, v) gives each suffix its longest match with the suffixes of
-        strings whose id has bit b = v at smaller positions in their own
-        strings: its sides' _nearest_smaller, over those positions, held in
-        _sa's memory meanwhile.  A bit's two runs cover all strings: v1 is the
-        larger.  Any other string differs from r1 in some bit, so lies in that
-        bit's run without r1: v2 is the largest smaller run (v1 if two strings
-        reach v1).  Where v2 < v1, r1 has bit b where run (b, 1) is larger;
-        elsewhere r1 means nothing.
+        Run q gives each suffix its longest match with the suffixes, at
+        smaller positions in their own strings, of the strings whose codeword
+        (_codewords) has bit q: its sides' _nearest_smaller, over those
+        positions, held in _sa's memory meanwhile.  Merged CHUNK positions at
+        a time, v1 keeps the largest run, a mask (in r1's memory where it
+        fits) the runs that reach v1, and v2 the largest run below v1.  The
+        mask ends a codeword exactly where one string alone reaches v1, r1
+        is that string, and every other string lies in a run without it.
+        Elsewhere v2 = v1 and r1 means nothing.  4 runs at m = 6, 8 at 40,
+        9 at 80.
         """
+        k, codes = _codewords(len(self.strings))
         sa, sid, self._sa = self._sa, self._sid, None  # if a run fails, the index is built again
         sa -= self._starts[sid]
-
-        def run(out, b, v):
-            out[:] = 0
-            for pos, lcp, marks, side in _sides(sa, self._lcp, (sid >> b & 1) == v, out):
-                _nearest_smaller(side, pos, lcp, marks)
-            return out
-
         v1, r1, v2 = (x[: len(sa)] for x in best)  # in suffix-array order until the runs end
-        a = run(np.zeros_like(v1), 0, 1)
-        np.maximum(run(v2, 0, 0), a, out=v1)  # v2 holds run (0, 0) until v1 is known
-        r1[:] = a > v2
-        np.minimum(v2, a, out=v2)
-        for b in range(1, (len(self.strings) - 1).bit_length()):
-            short = run(a, b, 0) < v1  # run (b, 1) reaches v1 there: r1 has bit b
-            r1 |= short.astype(r1.dtype) << b
-            np.maximum(v2, np.where(short, a, 0), out=v2)  # the smaller run of the two
-            np.maximum(v2, np.where(short, 0, run(a, b, 1)), out=v2)
+        mask = r1 if r1.itemsize >= codes.itemsize else np.zeros(len(sa), codes.dtype)
+        run = np.empty_like(v1)
+        for q in range(k):
+            run[:] = 0
+            for pos, lcp, marks, side in _sides(sa, self._lcp, (codes >> q & 1).astype(bool)[sid], run):
+                _nearest_smaller(side, pos, lcp, marks)
+            for lo in range(0, len(sa), CHUNK):
+                s = slice(lo, lo + CHUNK)
+                a, top, low, held = run[s], v1[s], v2[s], mask[s]
+                np.copyto(held, 0, where=a > top)
+                np.bitwise_or(held, codes.dtype.type(1 << q), out=held, where=a >= top)
+                np.maximum(low, np.minimum(a, top), out=low, where=a != top)
+                np.maximum(top, a, out=top)
+        del run
+        for lo in range(0, len(sa), CHUNK):
+            s = slice(lo, lo + CHUNK)
+            word = codes.searchsorted(mask[s])
+            np.copyto(v2[s], v1[s], where=codes.take(word, mode="clip") != mask[s])
+            r1[s] = word  # read only where v2 < v1
+        del mask
         self._sa = np.add(sa, self._starts[sid], out=sa)  # back to positions in the index
         for x in best:  # to index order, 0 at the separators
             x[sa] = x[: len(sa)].copy()

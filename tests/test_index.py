@@ -1,6 +1,7 @@
 """The match-array kernels against the naive oracle, and one index shared across cells."""
 
 import functools
+import math
 import tracemalloc
 import weakref
 from unittest import mock
@@ -418,8 +419,8 @@ def _assert_triple_equals_brute_force(idx):
         assert r1[at][alone].tolist() == arrays.argmax(axis=0)[alone].tolist(), (idx.strings, t)
 
 
-def _triple_sets(rng, m):
-    """Seeded sets of m distinct strings of unequal lengths: random, periodic and repeated-block."""
+def _triple_sets(rng, m, longest=69):
+    """Seeded sets of m distinct strings of 1 to longest bytes: random, periodic and repeated-block."""
     def one(family, n):
         alpha = int(rng.integers(1, 4))
         if family == "random":
@@ -433,21 +434,39 @@ def _triple_sets(rng, m):
     for family in ("random", "periodic", "repeated-block"):
         strings = set()
         while len(strings) < m:
-            strings.add((one(family, int(rng.integers(1, 70))) + 97).astype(np.uint8).tobytes())
+            strings.add((one(family, int(rng.integers(1, longest + 1))) + 97).astype(np.uint8).tobytes())
         yield sorted(strings)
 
 
 @pytest.mark.parametrize("chunk", [index.CHUNK, 3])
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 9])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 9, 11, 71])
 def test_aligned_triple_equals_brute_force(m, chunk):
-    """One string given twice (m = 1), a power of two, and 9 = 2**3 + 1: one string alone in the top bit."""
+    """From one string given twice to one string past each count of runs.
+
+    The runs' count k is the least with C(k, ceil(k/2)) >= m: 1, 2, 3 and 4
+    runs at m = 1-4, 4 still at m = 5 and 6 (C(4, 2) = 6 codewords, all
+    used), 5 at m = 7 and 9 and 6 at m = 11.  At m = 71 (strings of at most
+    8 bytes) it takes 9 runs: a mask wider than the byte that holds r1.
+    """
+    longest = 8 if m > 70 else 69
     rng = np.random.default_rng(40 + m)
-    for strings in _triple_sets(rng, m):
+    for strings in _triple_sets(rng, m, longest):
         idx = index.Index(strings + strings[:1])  # the copy shares an entry
         assert len(idx.strings) == m
         with mock.patch.object(index, "CHUNK", chunk):
             idx.best(0)
         _assert_triple_equals_brute_force(idx)
+
+
+def test_codewords_separate_every_ordered_pair():
+    for m in range(1, 301):
+        k, codes = index._codewords(m)
+        words = codes.astype(np.int64)
+        assert len(set(words.tolist())) == m and words.max() < 1 << k
+        assert all(bin(w).count("1") == (k + 1) // 2 for w in words.tolist())
+        held = words[:, None] & ~words[None, :]  # [s, r]: the runs holding s and not r
+        assert np.all((held != 0) == ~np.eye(m, dtype=bool)), m
+        assert k == 1 or math.comb(k - 1, k // 2) < m  # no fewer runs would do
 
 
 @pytest.mark.parametrize("chunk", [index.CHUNK, 3])
@@ -588,6 +607,15 @@ def test_causal_matrix_takes_one_sweep(m, kind, sweeps, pair_runs):
     assert sweep.call_count == sweeps
     assert pair.call_count == pair_runs  # the full kind: each target's own past, once
     assert merge.call_count == (kind == "full")
+
+
+@pytest.mark.parametrize("m, runs", [(6, 4), (9, 5)])
+def test_one_sweep_takes_the_fewest_runs(m, runs):
+    X = StringSet(tuple("abcdefghi")[:m], tuple(_strings(22, m, 300)))
+    with mock.patch.object(index, "DENSE_CELLS", 0), \
+            mock.patch.object(index, "_nearest_smaller", wraps=index._nearest_smaller) as nearest:
+        directed_info_matrix(X, kind="causal")
+    assert nearest.call_count == 2 * runs  # one call per side of each run
 
 
 def _counting(method="_sweep"):

@@ -14,9 +14,9 @@ scan down the sequence is the same scan up its reversed views.  An aligned
 match, the own past, another string's or the causal triple's, finds the
 nearest suffixes that start earlier by pointer jumping (_jump).
 
-A reference's region and leftmost start both come from one minimum over
-the run of the suffix array that shares its match (Index.leftmost), for
-every input: the dense kernel gives only the match lengths.
+A reference's region and leftmost start come from each region string's
+least position in the run of the suffix array that shares its match
+(Index.leftmost), for every input: the dense kernel gives only the lengths.
 """
 
 from __future__ import annotations
@@ -78,8 +78,11 @@ def _sides(*arrays):
 def _block_min(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """min(a[lo:hi]) for each pair of bounds, lo < hi < len(a), by one minimum.reduceat.
 
-    reduceat also reduces the stretch from each hi to the next lo; with the
-    pairs in order those stretches add up to at most the array.
+    hi < len(a), as reduceat reads each hi as an index: a slot past the last
+    range meets it (lcp's final 0, leftmost's sentinel).  reduceat also
+    reduces each stretch from a hi to the next lo; with each range around
+    its own one of ascending ranks, nested or not, the stretches lie
+    between the ranks: the cost is the array plus the ranges' lengths.
     """
     bounds = np.empty(2 * len(lo), np.intp)
     bounds[0::2], bounds[1::2] = lo, hi
@@ -754,9 +757,13 @@ class Index:
         aligned (starts below at).  at is strictly ascending, and each match must
         exist.  The suffixes that share at least length with the target's
         suffix form one run of the suffix array around its rank, found by
-        looking the positions up in the suffix array (2 bytes per indexed
-        byte, held here).  The smallest key (first region permitting it,
-        position) of the run's suffixes gives both.
+        looking the positions up in the suffix array.  Region by region,
+        one uint32 array of the suffixes' positions in the region's string
+        (4 bytes per indexed byte, held here; every other string's suffixes
+        read at or past its end) gives that string's least position in every
+        run by one _block_min.  The first region admitting it (anywhere if
+        whole, below the target position if aligned) has the match, and
+        that position is its leftmost start there.
         """
         if not len(at):
             return np.zeros(0, np.int64), np.zeros(0, np.int64)
@@ -767,39 +774,24 @@ class Index:
         wanted[self._starts[t] + at] = True
         rank = np.flatnonzero(wanted[self._sa])  # ascending and int64, as _run_starts takes them
         del wanted
-        order = np.argsort(self._sa[rank]).argsort()  # each rank's place in at, which is ascending
-        length = length[order]
+        by = np.argsort(self._sa[rank])  # the rank of each of at, which is ascending
+        order = by.argsort()  # each rank's place in at
+        length, limit = length[order], at[order]
         first = _run_starts(self._lcp, rank, length)
         last = n - 1 - _run_starts(self._lcp[::-1], n - 1 - rank[::-1], length[::-1])[::-1]
-        kw, ka = np.full((2, len(self.strings)), len(regions))  # each string's first whole, aligned region
-        for k, (i, whole) in reversed(list(enumerate(regions))):
-            (kw if whole else ka)[i] = k
-        key = np.empty(len(at), np.int64)
-        key[order] = self._run_minima(first, last, at[order], kw, np.minimum(kw, ka))
-        return key >> 32, key & 0xFFFFFFFF
-
-    def _run_minima(self, first, last, limit, kw, kany) -> np.ndarray:
-        """Smallest (region << 32) + position of a suffix of ranks first..last, for each run.
-
-        A suffix of string i is in region kany[i] below the run's limit, else
-        kw[i].  The runs' elements are read CHUNK at a time, each piece taking
-        each run's part of it by one minimum.reduceat.
-        """
-        size = last - first + 1
-        ends = np.cumsum(size)
-        out = np.full(len(first), np.iinfo(np.int64).max)
-        for lo in range(0, int(ends[-1]), CHUNK):
-            e = np.arange(lo, min(lo + CHUNK, int(ends[-1])))
-            k = np.searchsorted(ends, e, side="right")  # the run of each element
-            rank = first[k] + e - (ends[k] - size[k])
-            sid = self._sid[rank]
-            pos = self._sa[rank] - self._starts[sid]
-            key = np.where(pos < limit[k], kany[sid], kw[sid]) << 32
-            key += pos
-            heads = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-            k = k[heads]
-            out[k] = np.minimum(out[k], np.minimum.reduceat(key, heads))
-        return out
+        found = np.full((2, len(at)), len(regions), np.int64)  # region and start, by rank
+        region, start = found
+        pos = np.full(n + 1, _INF, np.uint32)  # the slot past the last run, for _block_min
+        for k, (i, whole) in enumerate(regions):
+            # a later string's suffixes land past string i's end, an earlier one's wrap round above it
+            np.subtract(self._sa, int(self._starts[i]), out=pos[:n], casting="unsafe")
+            low = _block_min(pos, first, last + 1)
+            size = len(self.strings[i])
+            got = (region == len(regions)) & (low < (size if whole else np.minimum(limit, size)))
+            region[got], start[got] = k, low[got]
+            if (region < len(regions)).all():
+                break
+        return found[:, by]
 
     def _gather(self, t: int, r: int):
         """The suffixes of the target and, but for the own past, those of strings[r] before the target's last position.

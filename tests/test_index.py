@@ -743,19 +743,21 @@ def _families(rng, size):
 @pytest.mark.parametrize("chunk", [index.CHUNK, 3])
 def test_offsets_are_leftmost_starts(chunk):
     rng = np.random.default_rng(16)
+    cases = []
     for x in _families(rng, 2000).values():
         y = x[7:] + x[:300]
-        for mode in Mode:
-            # a source equal to the target, and one source given twice
-            sources = (x,) if mode is Mode.SOURCE_PAST else (x[:1500], y, x[:1500])
-            context = Context(sources, mode)
-            with mock.patch.object(index, "DENSE_CELLS", 0):
-                f = factorize(y, context)
-            with mock.patch.object(index, "CHUNK", chunk):
-                _assert_offsets_leftmost(y, context, f)
-            # a dense-size parse: its offsets come from an index of its own, made for them
-            small = Context(tuple(s[:60] for s in sources), mode)
-            _assert_offsets_leftmost(y[:80], small, factorize(y[:80], small))
+        # a source equal to the target, and one source given twice
+        cases += [(y, Context((x,) if mode is Mode.SOURCE_PAST else (x[:1500], y, x[:1500]), mode)) for mode in Mode]
+    # a periodic target against a unary source: every reference's run of the suffix array is long
+    cases += [((b"a" * 10 + b"b") * 60, Context((b"a" * 2000,), mode)) for mode in Mode]
+    for y, context in cases:
+        with mock.patch.object(index, "DENSE_CELLS", 0):
+            f = factorize(y, context)
+        with mock.patch.object(index, "CHUNK", chunk):
+            _assert_offsets_leftmost(y, context, f)
+        # a dense-size parse: its offsets come from an index of its own, made for them
+        small = Context(tuple(s[:60] for s in context.sources), context.mode)
+        _assert_offsets_leftmost(y[:80], small, factorize(y[:80], small))
 
 
 def test_dense_size_parse_builds_an_index_only_for_its_symbols():

@@ -7,8 +7,8 @@ thread count never changes the output bytes.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
-import dataclasses
 import importlib
 import math
 import os
@@ -16,16 +16,13 @@ import sys
 import warnings
 from pathlib import Path
 
-import click
-
-from . import cluster as _cluster
 from . import tsv as _tsv
 from .params import DEFAULT_THRESHOLD, Mode
 
 
 def _numeric(name: str):
     """salza's module `name`, imported on first use: a numeric command loads
-    numpy and the modules it uses when it runs, and `cluster` loads neither.
+    numpy and the modules it uses when it runs, and `cluster` loads no numpy.
 
     salza makes no BLAS call (no dot, @, linalg or einsum), so OpenBLAS's
     worker threads, started when numpy loads, would only spin: about 0.1 s
@@ -114,7 +111,7 @@ def _read_corpus(files: tuple[str, ...]) -> tuple[list[str], list[bytes]]:
     for path in files:
         blob = Path(path).read_bytes()
         if not blob:
-            raise click.ClickException(f"empty file: {path}")
+            raise ValueError(f"empty file: {path}")
         # a byte of the name that is not UTF-8 reads \xNN, so that every writer can write the label, and
         # a character that is not printable (a tab, a line break) its escape, so that no reader splits it
         name = os.path.basename(path).encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
@@ -123,7 +120,7 @@ def _read_corpus(files: tuple[str, ...]) -> tuple[list[str], list[bytes]]:
             k = 1
             while f"{label}.{k}" in labels:
                 k += 1
-            click.echo(f"warning: duplicate label {label!r}, using {label}.{k}", err=True)
+            print(f"warning: duplicate label {label!r}, using {label}.{k}", file=sys.stderr)
             label = f"{label}.{k}"
         labels.append(label)
         data.append(blob)
@@ -131,84 +128,119 @@ def _read_corpus(files: tuple[str, ...]) -> tuple[list[str], list[bytes]]:
 
 
 def _number(kind, rule: str, ok):
-    """Option callback: the value as kind, if ok; else a ValueError naming the option."""
+    """The action of an option that stores its value as kind, if ok, and else raises a ValueError naming it."""
 
-    def convert(ctx, param, value):
-        if value is None:
-            return None
-        with contextlib.suppress(ValueError):
-            number = kind(value)
-            if ok(number):
-                return number
-        raise ValueError(f"--{param.name} must be {rule}, not {value!r}")
+    class Number(argparse.Action):
+        def __call__(self, parser, namespace, value, option_string=None):
+            with contextlib.suppress(ValueError):
+                if ok(number := kind(value)):
+                    return setattr(namespace, self.dest, number)
+            raise ValueError(f"{option_string} must be {rule}, not {value!r}")
 
-    return convert
+    return Number
 
 
-func_option = click.option("--func", default="sigmoid", show_default=True,
-                           help="Admissible function: sigmoid|threshold|table:<path>.")
-l0_option = click.option("--l0", type=str, default="auto", show_default=True, metavar="FLOAT",
-                         callback=_number(lambda v: None if v == "auto" else float(v),
-                                          "'auto' or a finite number >= 0",
-                                          lambda x: x is None or 0.0 <= x < math.inf),
-                         help="Cutoff length, or 'auto' for the per-context meaningful length.")
-threads_option = click.option("--threads", type=str, default=None, metavar="INTEGER",
-                              callback=_number(int, "an integer >= 1", lambda n: n >= 1),
-                              help="Accepted for compatibility; cells are computed serially.")
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes only `--help` for help, no abbreviated option, and its commands in `commands`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, add_help=False, **kwargs)
+        self.commands = None
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def command(self, run, name=None) -> _Parser:
+        """The parser of a command under this one; it sets `run` to the function that runs the command."""
+        if self.commands is None:
+            self.commands = self.add_subparsers(title="commands", metavar="COMMAND", required=True)
+        parser = self.commands.add_parser(name or run.__name__, help=run.__doc__.split("\n")[0],
+                                          description=run.__doc__)
+        parser.set_defaults(run=run)
+        return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    click.echo(f"warning: {message}", err=True)
+def _parser(prog: str) -> _Parser:
+    top = _Parser(prog, description=main.__doc__)
+    for run, out in ((causality, "Output DOT graph."), (nsd, "Output TSV matrix.")):
+        arg = top.command(run).add_argument
+        arg("files", nargs="+", metavar="FILES")
+        arg("--func", default="sigmoid",
+            help="Admissible function: sigmoid|threshold|table:<path>. [default: %(default)s]")
+        arg("--l0", metavar="FLOAT",
+            action=_number(lambda v: None if v == "auto" else float(v), "'auto' or a finite number >= 0",
+                           lambda x: x is None or 0 <= x < math.inf),
+            help="Cutoff length, or 'auto' for the per-context meaningful length. [default: auto]")
+        arg("--threads", metavar="INTEGER", action=_number(int, "an integer >= 1", lambda n: n >= 1),
+            help="Accepted for compatibility; cells are computed serially.")
+        arg("--out", required=True, metavar="PATH", help=out)
+    arg = top.commands.choices["causality"].add_argument
+    arg("--kind", choices=["causal", "full"], default="causal", help="[default: %(default)s]")
+    arg("--threshold", metavar="FLOAT", default=DEFAULT_THRESHOLD, help="Edge filter on directed information values. "
+        "[default: %(default)s]", action=_number(float, "a finite number >= 0", lambda x: 0.0 <= x < math.inf))
+    arg("--matrix-out", metavar="PATH", help="Also write the raw directed-information matrix as TSV.")
+    arg = top.command(cluster).add_argument
+    arg("matrix", metavar="MATRIX")
+    arg("--method", choices=["nj", "upgma"], default="nj", help="[default: %(default)s]")
+    arg("--out", required=True, metavar="PATH", help="Output Newick file.")
+    arg("--ascii", dest="show_ascii", action="store_true", help="Also print an ASCII rendering.")
+    arg = top.command(factorize_cmd, "factorize").add_argument
+    arg("target", metavar="TARGET")
+    arg("sources", nargs="*", metavar="SOURCES")
+    arg("--mode", dest="mode_name", choices=sorted(m.value for m in Mode), default="all",
+        help="Conditioning mode. [default: %(default)s]")
+    arg("--out", metavar="PATH", help="Output TSV (default stdout).")
+    generators = top.commands.add_parser("gen", help="Synthetic data generators.")
+    for run in (dag, markov):
+        arg = generators.command(run).add_argument
+        arg("specfile", metavar="SPECFILE")
+        arg("--out-dir", required=True, metavar="PATH", help="Directory for raw byte files.")
+    arg = top.command(simulate).add_argument
+    arg("specfile", metavar="SPECFILE")
+    arg("--out", metavar="PATH", help="Output TSV (default stdout).")
+    return top
 
 
-class _Main(click.Group):
-    """Reports a ValueError or OSError from any command (bad user input: a bad
-    value, a missing or unwritable file) or a MemoryError (an input too large
-    for this machine) as a one-line `Error:`, status 1, and a warning from the
-    library as a one-line `warning:`; the warning filters stay as they are."""
-
-    def invoke(self, ctx):
-        try:
-            with warnings.catch_warnings():
-                warnings.showwarning = _show_warning
-                return super().invoke(ctx)
-        except BrokenPipeError:
-            raise  # a closed stdout: click exits quietly
-        except (OSError, ValueError) as exc:
-            name = getattr(exc, "filename", None)
-            raise click.ClickException(f"{name}: {exc.strerror}" if name else str(exc)) from exc
-        except MemoryError as exc:
-            raise click.ClickException(str(exc) or "out of memory") from exc
-
-
-@click.group(cls=_Main)
-def main():
+def main(args: list[str] | None = None, prog_name: str = "salza") -> None:
     """Lempel-Ziv complexity estimates, clustering, and causality inference."""
+    parser, args = _parser(prog_name), sys.argv[1:] if args is None else list(args)
+    while parser.commands:
+        if not args or args[0] not in parser.commands.choices:
+            parser.parse_args(args)  # no command named: help or a usage error, which exit
+        parser, args = parser.commands.choices[args[0]], args[1:]
+    try:
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            kwargs = vars(parser.parse_intermixed_args(args))
+            kwargs.pop("run")(**kwargs)
+            sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        sys.exit(0)
+    except BrokenPipeError:  # a closed stdout: exit quietly, and let the flush at exit write nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except (OSError, ValueError) as exc:  # bad input: a bad value, a missing or unwritable file
+        name = getattr(exc, "filename", None)
+        message = f"{name}: {exc.strerror}" if name else str(exc)
+    except MemoryError as exc:  # an input too large for this machine
+        message = str(exc) or "out of memory"
+    print(f"Error: {message}", file=sys.stderr)
+    sys.exit(1)
 
 
-@main.command()
-@click.argument("files", nargs=-1, required=True, type=click.Path())
-@func_option
-@l0_option
-@threads_option
-@click.option("--out", required=True, type=click.Path(), help="Output TSV matrix.")
+main.main = main  # as callers written for the former click group call it
+
+
 def nsd(files, func, l0, threads, out):
     """Pairwise normalized semi-distance matrix over FILES."""
     if len(files) < 2:
-        raise click.ClickException("need at least two input files")
+        raise ValueError("need at least two input files")
     fn = _load_function(func, l0)
     _check_writable(out)
     labels, data = _read_corpus(files)
     _tsv.write_matrix(out, labels, _numeric("estimators").nsd_matrix(data, fn))
 
 
-@main.command()
-@click.argument("matrix", type=click.Path())
-@click.option("--method", type=click.Choice(["nj", "upgma"]), default="nj", show_default=True)
-@click.option("--out", required=True, type=click.Path(), help="Output Newick file.")
-@click.option("--ascii", "show_ascii", is_flag=True, help="Also print an ASCII rendering.")
 def cluster(matrix, method, out, show_ascii):
     """Build a tree from a TSV distance matrix."""
+    _cluster = importlib.import_module(".cluster", __package__)
     _check_writable(out)
     labels, values = _tsv.read_matrix(matrix)
     with _prefixed(matrix):
@@ -216,26 +248,13 @@ def cluster(matrix, method, out, show_ascii):
     tree = _cluster.neighbor_joining(dm) if method == "nj" else _cluster.upgma(dm)
     Path(out).write_text(_cluster.to_newick(tree) + "\n")
     if show_ascii:
-        click.echo(_cluster.render_ascii(tree), nl=False)
+        sys.stdout.write(_cluster.render_ascii(tree))
 
 
-@main.command()
-@click.argument("files", nargs=-1, required=True, type=click.Path())
-@click.option("--kind", type=click.Choice(["causal", "full"]), default="causal", show_default=True)
-@func_option
-@l0_option
-@click.option("--threshold", type=str, default=DEFAULT_THRESHOLD, show_default=True,
-              metavar="FLOAT",
-              callback=_number(float, "a finite number >= 0", lambda x: 0.0 <= x < math.inf),
-              help="Edge filter on directed information values.")
-@threads_option
-@click.option("--out", required=True, type=click.Path(), help="Output DOT graph.")
-@click.option("--matrix-out", type=click.Path(), default=None,
-              help="Also write the raw directed-information matrix as TSV.")
 def causality(files, kind, func, l0, threshold, threads, out, matrix_out):
     """Directed-information graph over FILES."""
     if len(files) < 2:
-        raise click.ClickException("need at least two input files")
+        raise ValueError("need at least two input files")
     fn = _load_function(func, l0)
     directed = _numeric("directed")
     _check_writable(out, matrix_out)
@@ -247,14 +266,6 @@ def causality(files, kind, func, l0, threshold, threads, out, matrix_out):
     Path(out).write_text(directed.to_dot(m, threshold))
 
 
-@main.group()
-def gen():
-    """Synthetic data generators."""
-
-
-@gen.command()
-@click.argument("specfile", type=click.Path())
-@click.option("--out-dir", required=True, type=click.Path(), help="Directory for raw byte files.")
 def markov(specfile, out_dir):
     """Seeded first-order Markov realizations from SPECFILE.
 
@@ -262,6 +273,7 @@ def markov(specfile, out_dir):
     realizations (default 1), id (label tag, default 0), then a `transition`
     matrix block.
     """
+    import dataclasses
     synth = _numeric("synth")
     with _prefixed("bad markov spec"):
         cfg = synth.parse_spec_file(specfile, "alphabet length seed realizations id transition".split())
@@ -275,12 +287,9 @@ def markov(specfile, out_dir):
     for c in range(count):
         label = f"alpha{first.alphabet_size}_m{tag}_c{c}"
         (outdir / label).write_bytes(synth.generate_markov(dataclasses.replace(first, seed=first.seed + c)))
-        click.echo(str(outdir / label))
+        print(outdir / label, flush=True)  # each name as its file is written
 
 
-@gen.command()
-@click.argument("specfile", type=click.Path())
-@click.option("--out-dir", required=True, type=click.Path(), help="Directory for raw byte files.")
 def dag(specfile, out_dir):
     """Dependent DAG process realizations from SPECFILE.
 
@@ -299,30 +308,21 @@ def dag(specfile, out_dir):
     outdir.mkdir(parents=True, exist_ok=True)
     for label, blob in zip(strings.labels, strings.strings):
         (outdir / label).write_bytes(blob)
-        click.echo(str(outdir / label))
+        print(outdir / label, flush=True)  # each name as its file is written
 
 
-@main.command("factorize")
-@click.argument("target", type=click.Path())
-@click.argument("sources", nargs=-1, type=click.Path())
-@click.option("--mode", "mode_name", type=click.Choice(sorted(m.value for m in Mode)), default="all",
-              show_default=True, help="Conditioning mode.")
-@click.option("--out", type=click.Path(), default=None, help="Output TSV (default stdout).")
 def factorize_cmd(target, sources, mode_name, out):
     """Dump the symbol stream of TARGET factorized against SOURCES."""
     _check_writable(out)
-    labels, data = _read_corpus((target,) + sources)
+    labels, data = _read_corpus((target, *sources))
     fact = factorize(data[0], _numeric("lz").Context(tuple(data[1:]), Mode(mode_name)))
     text = _tsv.symbols_tsv(fact, labels[1:])
     if out:
         Path(out).write_text(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-@main.command()
-@click.argument("specfile", type=click.Path())
-@click.option("--out", type=click.Path(), default=None, help="Output TSV (default stdout).")
 def simulate(specfile, out):
     """Symbol-length formula study (no factorization) from SPECFILE.
 
@@ -345,7 +345,7 @@ def simulate(specfile, out):
     if out:
         Path(out).write_text(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,19 @@
 import contextlib
 import dataclasses
+import io
 import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
+import salza
 from oracle import find_references
 from salza.cli import main
 from salza.lz import SELF, Context, Factorization, Mode, Symbol, decode
@@ -23,9 +28,39 @@ from salza.synth import (
 from salza.tsv import fmt, read_matrix
 
 
+class _Tee(io.StringIO):
+    """Keeps what is written, and writes it to `also` as well."""
+
+    def __init__(self, also):
+        super().__init__()
+        self.also = also
+
+    def write(self, text):
+        self.also.write(text)
+        return super().write(text)
+
+
+class Runner:
+    """Runs the CLI in this process.  A result's `output` is its stdout and stderr
+    interleaved, and its `exception` what ended a run whose exit code is not 0."""
+
+    def invoke(self, cli, args):
+        output = io.StringIO()
+        stderr = _Tee(output)
+        code, exception = 0, None
+        with contextlib.redirect_stdout(output), contextlib.redirect_stderr(stderr):
+            try:
+                cli(args)
+            except SystemExit as exc:
+                code, exception = exc.code or 0, exc if exc.code else None
+            except Exception as exc:
+                code, exception = 1, exc
+        return SimpleNamespace(exit_code=code, output=output.getvalue(), stderr=stderr.getvalue(), exception=exception)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def write_corpus(tmp_path, name_to_bytes):
@@ -705,3 +740,66 @@ def test_library_warning_is_one_line(runner, tmp_path, command, corpus, message)
             mock.patch("salza.directed.directed_info_matrix", side_effect=overflow):
         res = runner.invoke(main, args)
     assert isinstance(res.exception, RuntimeWarning)
+
+
+# each command's options, with the default its help states (None: no default shown)
+OPTIONS = {
+    "nsd": {"--func": "sigmoid", "--l0": "auto", "--threads": None, "--out": None},
+    "causality": {"--kind": "causal", "--func": "sigmoid", "--l0": "auto", "--threshold": "0.005",
+                  "--threads": None, "--out": None, "--matrix-out": None},
+    "cluster": {"--method": "nj", "--out": None, "--ascii": None},
+    "factorize": {"--mode": "all", "--out": None},
+    "gen markov": {"--out-dir": None},
+    "gen dag": {"--out-dir": None},
+    "simulate": {"--out": None},
+}
+
+
+@pytest.mark.parametrize("case", ["out-between-files", "--thread", "--method", *OPTIONS])
+def test_parser_keeps_the_click_behaviour(runner, tmp_path, case):
+    files = write_corpus(tmp_path, SAMPLE)
+    if case == "out-between-files":
+        first, between = tmp_path / "first.tsv", tmp_path / "between.tsv"
+        assert runner.invoke(main, ["nsd", *files, "--out", str(first)]).exit_code == 0
+        res = runner.invoke(main, ["nsd", files[0], "--out", str(between), *files[1:]])
+        assert res.exit_code == 0, res.output
+        assert between.read_bytes() == first.read_bytes()
+    elif case.startswith("--"):  # an abbreviated option, and a choice that is not one
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text("\ta\tb\na\t0\t1\nb\t1\t0\n")
+        args = (["nsd", *files, "--thread", "2"] if case == "--thread" else ["cluster", str(matrix), "--method", "foo"])
+        res = runner.invoke(main, [*args, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit), res.exception  # no traceback
+        assert res.stderr.startswith("usage: salza ") and case in res.stderr
+        assert not (tmp_path / "o").exists()
+    else:
+        res = runner.invoke(main, [*case.split(), "--help"])
+        assert res.exit_code == 0, res.output
+        text = " ".join(res.output.split())
+        for option, default in OPTIONS[case].items():
+            assert option in text
+            if default is not None:
+                assert re.search(rf"{option}\b[^[]*\[default: {re.escape(default)}\]", text), (option, text)
+
+
+@pytest.mark.parametrize("size", [20_000, 100], ids=["closed-after-one-line", "closed-before-any"])
+def test_closed_stdout_exits_quietly(tmp_path, size):
+    rng = np.random.default_rng(3)
+    paths = write_corpus(tmp_path, {name: rng.integers(0, 256, size, dtype=np.uint8).tobytes() for name in "yx"})
+    argv = [sys.executable, "-m", "salza.cli", "factorize", *paths]
+    # stdout buffered, as in a shell, so that Python also flushes it at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(salza.__file__).resolve().parents[1])
+    if size > 1000:  # a dump of 20 kB of literals, far more than a pipe holds
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"pos\t")
+            proc.stdout.close()
+            err = proc.stderr.read()
+    else:  # a dump that stays in the buffer, and a reader gone before it is written
+        read, write = os.pipe()
+        os.close(read)
+        err = subprocess.run(argv, env=env, stdout=write, stderr=subprocess.PIPE, timeout=60).stderr
+        os.close(write)
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+    assert err == b"", err

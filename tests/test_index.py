@@ -751,9 +751,10 @@ def test_offsets_are_leftmost_starts(chunk):
     # a periodic target against a unary source: every reference's run of the suffix array is long
     cases += [((b"a" * 10 + b"b") * 60, Context((b"a" * 2000,), mode)) for mode in Mode]
     for y, context in cases:
-        with mock.patch.object(index, "DENSE_CELLS", 0):
-            f = factorize(y, context)
+        # the build and the match arrays run in chunks of the same size as the offsets
         with mock.patch.object(index, "CHUNK", chunk):
+            with mock.patch.object(index, "DENSE_CELLS", 0):
+                f = factorize(y, context)
             _assert_offsets_leftmost(y, context, f)
         # a dense-size parse: its offsets come from an index of its own, made for them
         small = Context(tuple(s[:60] for s in context.sources), context.mode)

@@ -63,11 +63,16 @@ def _corpus(path: Path) -> None:
         (path / name).write_bytes(blob)
 
 
+def _cli_run(args) -> str:
+    """Code that runs the CLI on args in-process and goes on if it exits with status 0."""
+    return (f"from salza import cli\ntry:\n    cli.main({args!r})\n"
+            "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n")
+
+
 # A numeric command run in-process: it loads numpy, and what the run did to
 # the environment shows afterwards.
-NSD_RUN = ("import os, sys\nbefore = dict(os.environ)\nfrom salza import cli\n"
-           f"cli.main(['nsd', *{list(SAMPLE)!r}, '--out', 'd.tsv'], standalone_mode=False)\n"
-           "assert 'numpy' in sys.modules and dict(os.environ) == before\n")
+NSD_RUN = ("import os, sys\nbefore = dict(os.environ)\n" + _cli_run(["nsd", *SAMPLE, "--out", "d.tsv"])
+           + "assert 'numpy' in sys.modules and dict(os.environ) == before\n")
 
 
 @pytest.mark.parametrize("start", [{}, {"OPENBLAS_NUM_THREADS": "3"}], ids=["unset", "set"])
@@ -90,9 +95,17 @@ def test_cli_import_starts_no_blas_threads(tmp_path):
                                   ["--help"]], ids=["nj", "upgma", "help"])
 def test_cluster_and_help_load_no_numpy(args, tmp_path):
     (tmp_path / "d.tsv").write_text("\ta\tb\tc\na\t0\t1\t2\nb\t1\t0\t2\nc\t2\t2\t0\n")
-    code = (f"import sys\nfrom salza import cli\ncli.main({args!r}, standalone_mode=False)\n"
-            "print('numpy' in sys.modules)")
+    code = "import sys\n" + _cli_run(args) + "print('numpy' in sys.modules)"
     assert _python("-c", code, cwd=tmp_path).splitlines()[-1] == "False"
+
+
+def test_cli_loads_cluster_only_for_the_cluster_command(tmp_path):
+    code = "import sys\nimport salza.cli\nprint(sorted({'click', 'numpy', 'salza.cluster'} & sys.modules.keys()))"
+    assert _python("-c", code) == "[]\n"
+    (tmp_path / "d.tsv").write_text("\ta\tb\tc\na\t0\t1\t2\nb\t1\t0\t2\nc\t2\t2\t0\n")
+    code = ("import sys\n" + _cli_run(["cluster", "d.tsv", "--out", "t.nwk"])
+            + "print(sorted({'numpy', 'salza.cluster'} & sys.modules.keys()))")
+    assert _python("-c", code, cwd=tmp_path).splitlines()[-1] == "['salza.cluster']"
 
 
 def test_cli_outputs_do_not_depend_on_blas_threads(tmp_path):
